@@ -21,7 +21,7 @@ import (
 // bounded by the peak live-event population, not the total event count.
 func BenchmarkReplayAllocs(b *testing.B) { benchkit.Replay(b) }
 
-// BenchmarkReplayObserved is BenchmarkReplayAllocs with a metrics sink
+// BenchmarkReplayObserved is BenchmarkReplayAllocs with a telemetry sink
 // attached — compare the two for the cost of turning observability on.
 // `make bench-guard` enforces that the no-sink path stays within 5% of
 // the BENCH_engine.json allocation baseline.

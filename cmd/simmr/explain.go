@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 
+	"simmr/internal/cellexec"
 	"simmr/internal/runs"
 	"simmr/pkg/simmr"
 )
@@ -43,7 +44,6 @@ func runTraceExplain(args []string) error {
 		if err != nil {
 			return err
 		}
-		tel.ExpectRuns(1)
 	}
 	stopLoad := tel.Span("load")
 	tr, err := loadTrace(*tracePath, *dbDir, *dbName)
@@ -69,17 +69,14 @@ func runTraceExplain(args []string) error {
 	}
 	opsSink, opsDone := opsRegister(tel, runs.KindAttr, tr, policy,
 		fmt.Sprintf("map_slots=%d reduce_slots=%d", *mapSlots, *reduceSlots))
-	if tel != nil {
-		sink = simmr.TeeSinks(sink, tel.EngineSink(), opsSink)
-	}
 	cfg := simmr.ReplayConfig{
 		MapSlots:               *mapSlots,
 		ReduceSlots:            *reduceSlots,
 		MinMapPercentCompleted: *slowstart,
-		Sink:                   sink,
+		Sink:                   simmr.TeeSinks(sink, opsSink),
 	}
 	stopRun := tel.Span("run")
-	res, err := simmr.Replay(cfg, tr, policy)
+	res, _, err := cellexec.ReplayOne(cellexec.Options{Telemetry: tel}, cfg, tr, policy)
 	stopRun()
 	opsDone(res, err)
 	if err != nil {

@@ -55,6 +55,7 @@ import (
 	"os"
 	"strings"
 
+	"simmr/internal/cellexec"
 	"simmr/internal/metrics"
 	"simmr/internal/runs"
 	"simmr/pkg/simmr"
@@ -157,18 +158,10 @@ func run() error {
 		}
 		opsSink, opsDone := opsRegister(tel, runs.KindReplay, tr, policy,
 			fmt.Sprintf("map_slots=%d reduce_slots=%d", *mapSlots, *reduceSlots))
-		if tel != nil {
-			tel.ExpectRuns(1)
-			cfg.Sink = simmr.TeeSinks(tel.EngineSink(), opsSink)
-		}
+		cfg.Sink = opsSink
 		stopRun := tel.Span("run")
-		res, hit, err := simmr.ReplayCached(cache, cfg, tr, policy)
+		res, _, err := cellexec.ReplayOne(cellexec.Options{Telemetry: tel, Cache: cache}, cfg, tr, policy)
 		stopRun()
-		if hit && tel != nil {
-			// The engine never ran, so no sink RunEnd will arrive;
-			// rebalance the expected-run count.
-			tel.ExpectRuns(-1)
-		}
 		opsDone(res, err)
 		if err != nil {
 			return err

@@ -7,6 +7,7 @@ import (
 	"os"
 	"sort"
 
+	"simmr/internal/cellexec"
 	"simmr/internal/runs"
 	"simmr/pkg/simmr"
 )
@@ -68,7 +69,6 @@ func runTraceRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		tel.ExpectRuns(1)
 	}
 	stopLoad := tel.Span("load")
 	tr, err := loadTrace(*tracePath, *dbDir, *dbName)
@@ -98,23 +98,16 @@ func runTraceRun(args []string) error {
 	sink = simmr.TeeSinks(sink, attrSink)
 	opsSink, opsDone := opsRegister(tel, runs.KindReplay, tr, policy,
 		fmt.Sprintf("map_slots=%d reduce_slots=%d", *mapSlots, *reduceSlots))
-	if tel != nil {
-		sink = simmr.TeeSinks(sink, tel.EngineSink(), opsSink)
-	}
 	cfg := simmr.ReplayConfig{
 		MapSlots:               *mapSlots,
 		ReduceSlots:            *reduceSlots,
 		MinMapPercentCompleted: *slowstart,
-		Sink:                   sink,
+		Sink:                   simmr.TeeSinks(sink, opsSink),
 	}
 	cache := cf.open(tel)
 	stopRun := tel.Span("run")
-	res, hit, err := simmr.ReplayCached(cache, cfg, tr, policy)
+	res, hit, err := cellexec.ReplayOne(cellexec.Options{Telemetry: tel, Cache: cache}, cfg, tr, policy)
 	stopRun()
-	if hit && tel != nil {
-		// The engine never ran; no sink RunEnd will arrive.
-		tel.ExpectRuns(-1)
-	}
 	opsDone(res, err)
 	if err != nil {
 		return err

@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"simmr/internal/obs"
 	"simmr/pkg/simmr"
 )
 
@@ -38,15 +37,15 @@ func allocLimit(base int64) int64 {
 // `make bench` when a deliberate trade-off moves the baseline.
 const ThroughputFloor = 0.90
 
-// ReplayObserved is Replay with a metrics sink attached — the worst
-// realistic always-on observability cost (every event tallied, run
-// counters aggregated). Compare its allocs/op and events/sec against
-// Replay for the price of turning observability on.
+// ReplayObserved is Replay with a telemetry sink attached — the worst
+// realistic always-on observability cost (every event tallied into the
+// sharded metrics registry, task durations and run counters observed).
+// Compare its allocs/op and events/sec against Replay for the price of
+// turning observability on.
 func ReplayObserved(b *testing.B) {
 	tr := fixture(replayJobs)
-	sink := obs.NewMetricsSink()
 	cfg := simmr.DefaultReplayConfig()
-	cfg.Sink = sink
+	cfg.Sink = simmr.NewTelemetry().EngineSink()
 	var pool simmr.ReplayPool // pooled like Replay, so the delta is the sink alone
 	b.ReportAllocs()
 	b.ResetTimer()

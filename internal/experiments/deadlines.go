@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync/atomic"
-	"time"
 
+	"simmr/internal/cellexec"
 	"simmr/internal/engine"
 	"simmr/internal/metrics"
 	"simmr/internal/parallel"
@@ -212,37 +211,24 @@ func deadlineSweep(name string, cfg DeadlineSweepConfig, gen traceGen) (*Deadlin
 	}
 	engCfg := EngineConfig()
 	// A paper-scale sweep is 18 cells × 400 repetitions × 2 policies =
-	// 14,400 replays; pooling holds that to ~one engine per worker.
-	var pool engine.Pool
-	tel := cfg.Telemetry
-	if tel != nil {
-		tel.ExpectRuns(len(cells) * cfg.Repetitions * 2)
-		pool.OnGet = tel.PoolGet
-	}
-	var cacheHits atomic.Uint64
-	points, err := parallel.MapProgress(context.Background(), 0, len(cells), cfg.Progress,
+	// 14,400 replays on one executor, which pools them to ~one engine
+	// per worker.
+	ex := cellexec.Begin(cfg.options(), len(cells)*cfg.Repetitions*2, "", nil, nil, "")
+	points, err := cellexec.Map(context.Background(), ex, len(cells),
 		func(_ context.Context, i int) (DeadlineSweepPoint, error) {
 			c := cells[i]
 			var sumMax, sumMin float64
 			rng := rand.New(rand.NewSource(cfg.Seed ^ int64(c.df*1000) ^ int64(c.meanIA)))
-			// One telemetry sink per cell, reused across the cell's
-			// replays: the cell runs on a single worker goroutine, so
-			// the sink stays single-goroutine while writing its own
-			// registry shard.
-			cellCfg := engCfg
-			if tel != nil {
-				cellCfg.Sink = tel.EngineSink()
-			}
 			for rep := 0; rep < cfg.Repetitions; rep++ {
 				tr, baselines := gen(rep, rng, c.meanIA)
 				assignDeadlines(tr, baselines, c.df, rng)
 				tr.Normalize()
 
-				maxVal, err := runUtility(&pool, tel, cfg.Cache, &cacheHits, cellCfg, tr, sched.MaxEDF{})
+				maxVal, err := runUtility(ex, engCfg, tr, sched.MaxEDF{})
 				if err != nil {
 					return DeadlineSweepPoint{}, fmt.Errorf("experiments: %s MaxEDF: %w", name, err)
 				}
-				minVal, err := runUtility(&pool, tel, cfg.Cache, &cacheHits, cellCfg, tr, sched.MinEDF{})
+				minVal, err := runUtility(ex, engCfg, tr, sched.MinEDF{})
 				if err != nil {
 					return DeadlineSweepPoint{}, fmt.Errorf("experiments: %s MinEDF: %w", name, err)
 				}
@@ -256,15 +242,16 @@ func deadlineSweep(name string, cfg DeadlineSweepConfig, gen traceGen) (*Deadlin
 				MinEDF:           sumMin / float64(cfg.Repetitions),
 			}, nil
 		})
+	hits := ex.End(err)
 	if err != nil {
 		return nil, err
 	}
-	if h := cacheHits.Load(); h > 0 && tel != nil {
-		// Cached replays never fire a sink RunEnd; rebalance the
-		// expected-run count so the expvar "done" counter converges.
-		tel.ExpectRuns(-int(h))
-	}
-	return &DeadlineSweepResult{Name: name, Config: cfg, Points: points, CacheHits: cacheHits.Load()}, nil
+	return &DeadlineSweepResult{Name: name, Config: cfg, Points: points, CacheHits: hits}, nil
+}
+
+// options maps the sweep's flat fields onto the cell executor's.
+func (cfg DeadlineSweepConfig) options() cellexec.Options {
+	return cellexec.Options{Progress: cfg.Progress, Telemetry: cfg.Telemetry, Cache: cfg.Cache}
 }
 
 // assignDeadlines draws each job's deadline uniformly in [T_J, df·T_J]
@@ -279,39 +266,14 @@ func assignDeadlines(tr *trace.Trace, baselines []float64, df float64, rng *rand
 	}
 }
 
-// runUtility replays the trace on a pooled engine and evaluates the
-// relative-deadline-exceeded utility. The engine treats the trace as
-// read-only, so back-to-back replays need no clone. With a cache the
-// replay is memoized: a hit skips the engine (and per-replay
-// telemetry — the caller rebalances ExpectRuns by the hit count).
-func runUtility(pool *engine.Pool, tel *telemetry.SimMetrics, cache *rcache.Cache, hits *atomic.Uint64, cfg engine.Config, tr *trace.Trace, policy sched.Policy) (float64, error) {
-	var res *engine.Result
-	var key rcache.Key
-	var keyOK bool
-	if cache != nil {
-		if key, keyOK = rcache.KeyFor(tr.ContentHash(), cfg, policy); keyOK {
-			if r, ok := cache.Get(key); ok {
-				hits.Add(1)
-				res = r
-			}
-		}
-	}
-	if res == nil {
-		var start time.Time
-		if tel != nil {
-			start = time.Now()
-		}
-		var err error
-		res, err = pool.Run(cfg, tr, policy)
-		if err != nil {
-			return 0, err
-		}
-		if keyOK {
-			cache.Put(key, res)
-		}
-		if tel != nil {
-			tel.ReplayDone(time.Since(start), res.Events)
-		}
+// runUtility replays the trace as one executor cell (memoized when the
+// executor caches) and evaluates the relative-deadline-exceeded
+// utility. The engine treats the trace as read-only, so back-to-back
+// replays need no clone.
+func runUtility(ex *cellexec.Runner, cfg engine.Config, tr *trace.Trace, policy sched.Policy) (float64, error) {
+	res, _, err := ex.Replay(cfg, tr, policy, "", nil)
+	if err != nil {
+		return 0, err
 	}
 	obs := make([]metrics.DeadlineObservation, 0, len(res.Jobs))
 	for _, j := range res.Jobs {

@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"simmr/internal/rcache"
+	"simmr/internal/telemetry"
 )
 
 // quickSweep shrinks the paper's 400-repetition sweep for test runtime.
@@ -100,6 +104,38 @@ func TestDeadlineSweepValidation(t *testing.T) {
 	bad.InterArrivalMeans = nil
 	if _, err := Figure7(bad); err == nil {
 		t.Fatal("empty axes should fail")
+	}
+}
+
+// TestDeadlineSweepCacheIdentical runs Figure 7 twice against one
+// result cache: the warm pass must serve every replay from the cache,
+// reproduce the cold pass's points exactly, and leave the telemetry's
+// expected-run count balanced against the replays that really ran.
+func TestDeadlineSweepCacheIdentical(t *testing.T) {
+	cfg := quickSweep(DefaultFigure7Config())
+	cfg.DeadlineFactors = []float64{1, 3}
+	cfg.Cache = rcache.New(rcache.Options{})
+	cfg.Telemetry = telemetry.NewSimMetrics(0)
+	cold, err := Figure7(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Figure7(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replays := uint64(len(cfg.DeadlineFactors) * len(cfg.InterArrivalMeans) * cfg.Repetitions * 2)
+	if warm.CacheHits != replays {
+		t.Fatalf("warm pass cache hits = %d, want %d", warm.CacheHits, replays)
+	}
+	if !reflect.DeepEqual(cold.Points, warm.Points) {
+		t.Fatalf("warm points diverged from cold:\n%+v\n%+v", cold.Points, warm.Points)
+	}
+	v := cfg.Telemetry.ExpvarValue().(map[string]any)
+	ran := replays - cold.CacheHits
+	if v["runs_expected"].(int64) != int64(ran) || v["runs_finished"].(uint64) != ran || !v["done"].(bool) {
+		t.Fatalf("telemetry run accounting = expected %v finished %v done %v, want %d replays done",
+			v["runs_expected"], v["runs_finished"], v["done"], ran)
 	}
 }
 

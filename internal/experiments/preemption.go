@@ -6,8 +6,7 @@ import (
 	"io"
 	"math/rand"
 
-	"simmr/internal/engine"
-	"simmr/internal/parallel"
+	"simmr/internal/cellexec"
 	"simmr/internal/sched"
 	"simmr/internal/trace"
 )
@@ -47,8 +46,8 @@ func AblationPreemption(repetitions int, seed int64) (*PreemptionResult, error) 
 	// workloads, and the pool templates are shared read-only.
 	rates := []float64{10, 100, 1000}
 	variants := []bool{false, true}
-	var engines engine.Pool
-	utils, err := parallel.Map(context.Background(), 0, len(rates)*len(variants),
+	ex := cellexec.Begin(cellexec.Options{}, len(rates)*len(variants)*repetitions, "", nil, nil, "")
+	utils, err := cellexec.Map(context.Background(), ex, len(rates)*len(variants),
 		func(_ context.Context, i int) (float64, error) {
 			meanIA := rates[i/len(variants)]
 			cfg := EngineConfig()
@@ -67,7 +66,7 @@ func AblationPreemption(repetitions int, seed int64) (*PreemptionResult, error) 
 				}
 				assignDeadlines(tr, tjs, 1, rng) // df = 1: the bump regime
 				tr.Normalize()
-				util, err := runUtilityWith(&engines, cfg, tr, sched.MaxEDF{})
+				util, err := runUtility(ex, cfg, tr, sched.MaxEDF{})
 				if err != nil {
 					return 0, err
 				}
@@ -75,6 +74,7 @@ func AblationPreemption(repetitions int, seed int64) (*PreemptionResult, error) 
 			}
 			return sum / float64(repetitions), nil
 		})
+	ex.End(err)
 	if err != nil {
 		return nil, err
 	}
@@ -87,26 +87,6 @@ func AblationPreemption(repetitions int, seed int64) (*PreemptionResult, error) 
 		})
 	}
 	return out, nil
-}
-
-// runUtilityWith is runUtility with an explicit engine configuration.
-// The engine treats the trace as read-only; no clone is needed.
-func runUtilityWith(engines *engine.Pool, cfg engine.Config, tr *trace.Trace, policy sched.Policy) (float64, error) {
-	res, err := engines.Run(cfg, tr, policy)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, j := range res.Jobs {
-		rel := j.Deadline - j.Arrival
-		if rel <= 0 {
-			continue
-		}
-		if c := j.Finish - j.Arrival; c > rel {
-			sum += (c - rel) / rel
-		}
-	}
-	return sum, nil
 }
 
 // Render writes the comparison table.

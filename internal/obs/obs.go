@@ -17,11 +17,11 @@
 //     CapacitySweep) every engine must own its own sink instance,
 //     built via a SinkFactory.
 //
-// Three concrete sinks ship with the package: TimelineSink (slot
+// Concrete sinks shipped with the package: TimelineSink (slot
 // occupancy, Figure 1/2-style), ChromeTraceSink (chrome://tracing /
-// Perfetto export), and MetricsSink (concurrency-safe counter
-// snapshots for expvar endpoints). RecordSink captures the raw stream
-// for tests and custom processing.
+// Perfetto export), and FlightRecorder (post-mortem ring). RecordSink
+// captures the raw stream for tests and custom processing; sweep-wide
+// counters live in the telemetry package.
 package obs
 
 import "math"

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"simmr/internal/report"
@@ -138,41 +137,6 @@ func TestTimelineTSVRendersViaReport(t *testing.T) {
 	}
 	if !strings.Contains(md, "slot timeline") || !strings.Contains(md, "|0|map|0|0|") {
 		t.Fatalf("report did not render the timeline:\n%s", md)
-	}
-}
-
-func TestMetricsSinkSnapshotAndExpvar(t *testing.T) {
-	m := NewMetricsSink()
-	// Concurrent writers and readers: the -race build checks safety.
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				m.Event(Event{Time: float64(i), Kind: KindMapTaskStart, JobID: w, Task: i})
-				_ = m.Snapshot()
-			}
-			m.RunEnd(Counters{Events: 100, HeapHighWater: 5 + w, Jobs: 1, Makespan: float64(w)})
-		}(w)
-	}
-	wg.Wait()
-	s := m.Snapshot()
-	if s.Observed != 400 || s.ByKind[KindMapTaskStart] != 400 {
-		t.Fatalf("observed %d byKind %d", s.Observed, s.ByKind[KindMapTaskStart])
-	}
-	if s.Counters.Events != 400 || s.Counters.Jobs != 4 || s.Counters.HeapHighWater != 8 {
-		t.Fatalf("aggregated counters %+v", s.Counters)
-	}
-	if !s.Done {
-		t.Fatal("Done not set")
-	}
-	v := m.ExpvarValue().(map[string]any)
-	if v["observed_events"].(uint64) != 400 {
-		t.Fatalf("expvar value %+v", v)
-	}
-	if _, err := json.Marshal(v); err != nil {
-		t.Fatalf("expvar value must be JSON-serializable: %v", err)
 	}
 }
 

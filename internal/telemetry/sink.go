@@ -1,9 +1,8 @@
 // SimMetrics is the SimMR metric set over a sharded Registry, and
-// EngineSink is the obs.Sink that feeds it. Together they replace
-// obs.MetricsSink's sweep-aggregation role: instead of N engines
-// funneling every event through one mutex, each engine's sink writes
-// its own registry shard with plain atomics and the shards merge at
-// scrape time.
+// EngineSink is the obs.Sink that feeds it. Together they aggregate a
+// sweep: instead of N engines funneling every event through one mutex,
+// each engine's sink writes its own registry shard with plain atomics
+// and the shards merge at scrape time.
 
 package telemetry
 
@@ -187,8 +186,7 @@ func (t *SimMetrics) Registry() *Registry {
 
 // ExpectRuns adds n to the number of replays the current workload will
 // perform; the expvar view reports done only once that many replays
-// finished (the fix for MetricsSink's first-RunEnd-wins bug, applied
-// here natively).
+// finished, not after the first one.
 func (t *SimMetrics) ExpectRuns(n int) {
 	if t == nil {
 		return
@@ -395,11 +393,10 @@ func (s *engineSink) RunEnd(c obs.Counters) {
 	clear(s.fillerStarts)
 }
 
-// ExpvarValue renders the merged registry in the same shape
-// obs.MetricsSink.ExpvarValue uses, so /debug/vars stays stable while
-// the aggregation underneath moved to the sharded registry. `done`
-// honors ExpectRuns: a live sweep is done only when every expected
-// replay finished.
+// ExpvarValue renders the merged registry as the stable /debug/vars
+// map (event counts by kind, run counters, expected and finished
+// runs). `done` honors ExpectRuns: a live sweep is done only when every
+// expected replay finished.
 func (t *SimMetrics) ExpvarValue() any {
 	if t == nil {
 		return nil

@@ -17,10 +17,12 @@
 package trace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -328,12 +330,7 @@ func (tr *Trace) Validate() error {
 // IDs in arrival order. Call before replaying a hand-assembled trace.
 func (tr *Trace) Normalize() {
 	tr.validated.Store(false)
-	// insertion sort keeps it stable and dependency-free
-	for i := 1; i < len(tr.Jobs); i++ {
-		for j := i; j > 0 && tr.Jobs[j-1].Arrival > tr.Jobs[j].Arrival; j-- {
-			tr.Jobs[j-1], tr.Jobs[j] = tr.Jobs[j], tr.Jobs[j-1]
-		}
-	}
+	slices.SortStableFunc(tr.Jobs, func(a, b *Job) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	for i, j := range tr.Jobs {
 		j.ID = i
 		if j.Name == "" && j.Template != nil {

@@ -188,6 +188,25 @@ func TestNormalizeIsStableProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+
+	// A large input in reversed arrival order with heavy ties: a
+	// quadratic sort would take minutes here.
+	const n, tie = 200_000, 64
+	tpl := validTemplate()
+	tr := &Trace{}
+	orig := make(map[*Job]int, n)
+	for i := 0; i < n; i++ {
+		j := &Job{Name: "x", Arrival: float64((n - 1 - i) / tie), Template: tpl}
+		tr.Jobs = append(tr.Jobs, j)
+		orig[j] = i
+	}
+	tr.Normalize()
+	for i := 1; i < n; i++ {
+		a, b := tr.Jobs[i-1], tr.Jobs[i]
+		if a.Arrival > b.Arrival || (a.Arrival == b.Arrival && orig[a] > orig[b]) {
+			t.Fatalf("large input: jobs %d/%d out of stable arrival order", i-1, i)
+		}
+	}
 }
 
 func indexOf(js []*Job, j *Job) int {

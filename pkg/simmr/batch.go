@@ -3,12 +3,9 @@ package simmr
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
-	"time"
 
+	"simmr/internal/cellexec"
 	"simmr/internal/engine"
-	"simmr/internal/obs"
-	"simmr/internal/parallel"
 	"simmr/internal/runs"
 	"simmr/internal/sched"
 )
@@ -35,23 +32,10 @@ type ReplaySpec struct {
 // policies, and configurations — concurrently on a bounded worker pool
 // (one worker per CPU). Results come back in spec order, identical to
 // running each spec serially; the first failing spec's error (lowest
-// index) is returned.
+// index) is returned. ReplayBatchCfg adds worker, progress,
+// cancellation, and observability control.
 func ReplayBatch(specs []ReplaySpec) ([]*ReplayResult, error) {
-	return ReplayBatchCtx(context.Background(), 0, specs)
-}
-
-// ReplayBatchCtx is ReplayBatch with an explicit worker bound
-// (0 = one per CPU, 1 = serial) and cancellation.
-func ReplayBatchCtx(ctx context.Context, workers int, specs []ReplaySpec) ([]*ReplayResult, error) {
-	return ReplayBatchProgress(ctx, workers, nil, specs)
-}
-
-// ReplayBatchProgress is ReplayBatchCtx with bounded-rate completion
-// reporting: progress (when non-nil) receives (done specs, total
-// specs) callbacks from the worker pool under the parallel package's
-// rate-limit contract.
-func ReplayBatchProgress(ctx context.Context, workers int, progress ProgressFunc, specs []ReplaySpec) ([]*ReplayResult, error) {
-	return ReplayBatchCfg(ctx, BatchConfig{Workers: workers, Progress: progress}, specs)
+	return ReplayBatchCfg(context.Background(), BatchConfig{}, specs)
 }
 
 // BatchConfig parameterizes ReplayBatchCfg beyond the specs themselves.
@@ -79,90 +63,49 @@ type BatchConfig struct {
 	Cache *Cache
 }
 
-// ReplayBatchCfg is the fully configurable batch entry point; the other
-// ReplayBatch variants are shorthands for it.
+// options maps the batch's flat fields onto the cell executor's.
+func (b BatchConfig) options() cellexec.Options {
+	return cellexec.Options{Workers: b.Workers, Progress: b.Progress, Telemetry: b.Telemetry,
+		Runs: b.Runs, Flight: b.Flight, Cache: b.Cache}
+}
+
+// ReplayBatchCfg is the fully configurable batch entry point: cancel
+// ctx to stop the remaining specs.
 func ReplayBatchCfg(ctx context.Context, bcfg BatchConfig, specs []ReplaySpec) ([]*ReplayResult, error) {
 	for i := range specs {
 		if specs[i].Trace == nil || len(specs[i].Trace.Jobs) == 0 {
 			return nil, fmt.Errorf("simmr: replay batch spec %d (%s): %w", i, specName(&specs[i]), ErrEmptyWorkload)
 		}
 	}
-	// Specs share one engine pool: the batch holds ~one engine per
-	// worker regardless of how many specs it replays.
-	var pool engine.Pool
-	tel := bcfg.Telemetry
-	if tel != nil {
-		tel.ExpectRuns(len(specs))
-		pool.OnGet = tel.PoolGet
-	}
-	run := beginRun(bcfg.Runs, runs.KindBatch, batchTrace(specs), nil,
+	ex := cellexec.Begin(bcfg.options(), len(specs), runs.KindBatch, batchTrace(specs), nil,
 		fmt.Sprintf("specs=%d", len(specs)))
-	run.SetPhase("replay")
-	var hits atomic.Uint64
-	results, err := parallel.MapProgress(ctx, bcfg.Workers, len(specs), run.ProgressFunc(bcfg.Progress), func(_ context.Context, i int) (*ReplayResult, error) {
+	ex.Handle().SetPhase("replay")
+	results, err := cellexec.Map(ctx, ex, len(specs), func(_ context.Context, i int) (*ReplayResult, error) {
 		spec := &specs[i]
-		cfg := spec.Config
-		// A spec that only sets an observability sink still gets the
-		// default cluster configuration.
-		sink := cfg.Sink
-		cfg.Sink = nil
-		if cfg == (ReplayConfig{}) {
-			cfg = engine.DefaultConfig()
-		}
-		cfg.Sink = sink
 		policy := spec.Policy
 		if policy == nil {
 			policy = sched.FIFO{}
 		}
-		// Consult the cache before claiming an engine (a cached spec
-		// never simulates, so its sinks do not fire).
-		key, keyOK := cacheKey(bcfg.Cache, cfg, spec.Trace, policy)
-		if keyOK {
-			if res, ok := bcfg.Cache.Get(key); ok {
-				hits.Add(1)
-				run.AddCached(1)
-				run.AddJobs(uint64(len(res.Jobs)))
-				return res, nil
-			}
-		}
-		rec, flightDone := runFlight(run, bcfg.Flight, specName(spec))
-		if rec != nil {
-			cfg.Sink = obs.Tee(cfg.Sink, rec)
-		}
-		var start time.Time
-		if tel != nil {
-			// Each spec's telemetry sink writes its own registry shard;
-			// Tee keeps a spec-provided sink observing too.
-			cfg.Sink = obs.Tee(cfg.Sink, tel.EngineSink())
-			start = time.Now()
-		}
-		res, err := pool.Run(cfg, spec.Trace, policy)
-		flightDone(res, err)
+		res, _, err := ex.Replay(withDefaults(spec.Config), spec.Trace, policy, specName(spec), nil)
 		if err != nil {
 			return nil, fmt.Errorf("simmr: replay batch spec %d (%s): %w", i, specName(spec), err)
 		}
-		if keyOK {
-			bcfg.Cache.Put(key, res)
-		}
-		if tel != nil {
-			tel.ReplayDone(time.Since(start), res.Events)
-		}
-		run.AddEvents(res.Events)
-		run.AddJobs(uint64(len(res.Jobs)))
 		return res, nil
 	})
-	if h := hits.Load(); h > 0 {
-		// Cached specs never replayed: rebalance the expected-run count
-		// and mark a fully memoized batch with its own terminal phase.
-		if tel != nil {
-			tel.ExpectRuns(-int(h))
-		}
-		if err == nil && h == uint64(len(specs)) {
-			run.SetPhase("cached")
-		}
-	}
-	run.End(err)
+	ex.End(err)
 	return results, err
+}
+
+// withDefaults maps a zero Config to DefaultReplayConfig: a config
+// that only sets an observability sink still gets the default cluster.
+func withDefaults(cfg ReplayConfig) ReplayConfig {
+	sink := cfg.Sink
+	cfg.Sink = nil
+	if cfg == (ReplayConfig{}) {
+		cfg = engine.DefaultConfig()
+	}
+	cfg.Sink = sink
+	return cfg
 }
 
 // batchTrace names a batch's workload for the run registry: the shared

@@ -163,7 +163,7 @@ func TestReplayBatchEmptySpec(t *testing.T) {
 func TestReplayBatchErrorIdentifiesSpec(t *testing.T) {
 	tr := sweepTrace()
 	bad := ReplayConfig{MapSlots: -1}
-	_, err := ReplayBatchCtx(context.Background(), 2, []ReplaySpec{
+	_, err := ReplayBatchCfg(context.Background(), BatchConfig{Workers: 2}, []ReplaySpec{
 		{Trace: tr},
 		{Name: "broken", Trace: tr, Config: bad},
 	})

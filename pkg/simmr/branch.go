@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
+	"simmr/internal/cellexec"
 	"simmr/internal/engine"
 	"simmr/internal/obs"
-	"simmr/internal/parallel"
 	"simmr/internal/runs"
 	"simmr/internal/sched"
 )
@@ -117,35 +116,21 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 		}
 		mkPolicy = func() Policy { return p }
 	}
-	ecfg := cfg.Config
-	sink := ecfg.Sink
-	ecfg.Sink = nil
-	if ecfg == (ReplayConfig{}) {
-		ecfg = DefaultReplayConfig()
-	}
-	ecfg.Sink = sink
+	ecfg := withDefaults(cfg.Config)
 
-	tel := cfg.Telemetry
-	if tel != nil {
-		tel.ExpectRuns(len(branches))
-		ecfg.Sink = obs.Tee(ecfg.Sink, tel.EngineSink())
-	}
-
-	run := beginRun(cfg.Runs, runs.KindBranch, cfg.Trace, cfg.Policy,
+	ex := cellexec.Begin(cfg.options(), len(branches), runs.KindBranch, cfg.Trace, cfg.Policy,
 		fmt.Sprintf("branches=%d branch_events=%d", len(branches), cfg.BranchEvents))
+	run := ex.Handle()
 	run.SetPhase("prefix")
 	fail := func(err error) ([]*ReplayResult, error) {
-		run.End(err)
+		ex.End(err)
 		return nil, err
 	}
 	// The prefix recorder observes the shared history once; each branch
 	// gets its own Fork() below, continuing from the sealed prefix the
 	// way attribution sinks do.
 	var prefixRec *obs.FlightRecorder
-	if run != nil && cfg.Flight != 0 {
-		prefixRec = obs.NewFlightRecorder(cfg.Flight)
-		ecfg.Sink = obs.Tee(ecfg.Sink, prefixRec)
-	}
+	ecfg.Sink, prefixRec = ex.PrefixSink(ecfg.Sink)
 
 	// Shared prefix: one replay to the branch point, sealed.
 	prefix, err := engine.New(ecfg, cfg.Trace, mkPolicy())
@@ -163,88 +148,81 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 	run.AddEvents(prefixEvents)
 	run.SetPhase("branches")
 
-	var pool engine.Pool
-	if tel != nil {
-		pool.OnGet = tel.PoolGet
-	}
 	_, sharedPolicy := mkPolicy().(sched.BatchPolicy)
-
-	results, err := parallel.MapProgress(ctx, cfg.Workers, len(branches), run.ProgressFunc(cfg.Progress), func(_ context.Context, i int) (*ReplayResult, error) {
+	results, err := cellexec.Map(ctx, ex, len(branches), func(_ context.Context, i int) (*ReplayResult, error) {
 		b := &branches[i]
-		fail := func(err error) (*ReplayResult, error) {
-			return nil, fmt.Errorf("simmr: branch %d (%s): %w", i, branchName(b, i), err)
-		}
 		bsink := b.Sink
 		if b.SinkFactory != nil {
 			bsink = b.SinkFactory()
 		}
-		opts := engine.ForkOptions{Sink: bsink}
-		if sharedPolicy {
-			opts.Policy = mkPolicy() // stateful: fresh instance per fork
-		}
-		flightDone := func(*ReplayResult, error) {}
+		var rec *obs.FlightRecorder
 		if prefixRec != nil {
-			var rec *obs.FlightRecorder
-			rec, flightDone = attachFlight(run, prefixRec.Fork(), branchName(b, i))
-			opts.Sink = obs.Tee(opts.Sink, rec)
+			rec = prefixRec.Fork()
 		}
-		var start time.Time
-		if tel != nil {
-			opts.Sink = obs.Tee(opts.Sink, tel.EngineSink())
-			start = time.Now()
-		}
-		f, err := pool.Fork(snap, opts)
-		if err != nil {
-			return fail(err)
-		}
-		if b.Policy != nil {
-			if err := f.SetPolicy(b.Policy); err != nil {
-				return fail(err)
+		res, err := ex.Exec(branchName(b, i), bsink, rec, prefixEvents, func(sink obs.Sink) (*ReplayResult, error) {
+			opts := engine.ForkOptions{Sink: sink}
+			if sharedPolicy {
+				opts.Policy = mkPolicy() // stateful: fresh instance per fork
 			}
-		}
-		// Map iteration order is random; apply in ascending job ID so a
-		// branch is reproducible run to run.
-		ids := make([]int, 0, len(b.SetDeadlines))
-		for id := range b.SetDeadlines {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			if err := f.SetDeadline(id, b.SetDeadlines[id]); err != nil {
-				return fail(err)
+			f, err := ex.Pool().Fork(snap, opts)
+			if err != nil {
+				return nil, err
 			}
-		}
-		for _, j := range b.InjectJobs {
-			if err := f.InjectJob(j); err != nil {
-				return fail(err)
+			if err := b.apply(f); err != nil {
+				return nil, err
 			}
-		}
-		if b.Mutate != nil {
-			if err := b.Mutate(f); err != nil {
-				return fail(err)
+			res, err := f.Run()
+			if err != nil {
+				return nil, err
 			}
-		}
-		res, err := f.Run()
-		flightDone(res, err)
-		if err != nil {
-			return fail(err)
-		}
-		if tel != nil {
 			st := f.ForkStats()
-			tel.ForkDone(st.BytesCopied, st.BytesShared)
-			// Branch throughput covers the suffix this branch actually
-			// simulated, not the shared prefix it inherited.
-			tel.ReplayDone(time.Since(start), res.Events-prefixEvents)
+			cfg.Telemetry.ForkDone(st.BytesCopied, st.BytesShared)
+			ex.Pool().Put(f)
+			return res, nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("simmr: branch %d (%s): %w", i, branchName(b, i), err)
 		}
-		pool.Put(f)
-		// Run totals count each branch's own suffix; the shared prefix
-		// was added once, before the fan-out.
-		run.AddEvents(res.Events - prefixEvents)
-		run.AddJobs(uint64(len(res.Jobs)))
 		return res, nil
 	})
-	run.End(err)
+	ex.End(err)
 	return results, err
+}
+
+// options maps the fan-out's flat fields onto the cell executor's.
+func (cfg BranchSetConfig) options() cellexec.Options {
+	return cellexec.Options{Workers: cfg.Workers, Progress: cfg.Progress, Telemetry: cfg.Telemetry,
+		Runs: cfg.Runs, Flight: cfg.Flight}
+}
+
+// apply makes the branch's edits on its paused fork.
+func (b *WhatIf) apply(f *Engine) error {
+	if b.Policy != nil {
+		if err := f.SetPolicy(b.Policy); err != nil {
+			return err
+		}
+	}
+	// Map iteration order is random; apply in ascending job ID so a
+	// branch is reproducible run to run.
+	ids := make([]int, 0, len(b.SetDeadlines))
+	for id := range b.SetDeadlines {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		if err := f.SetDeadline(id, b.SetDeadlines[id]); err != nil {
+			return err
+		}
+	}
+	for _, j := range b.InjectJobs {
+		if err := f.InjectJob(j); err != nil {
+			return err
+		}
+	}
+	if b.Mutate != nil {
+		return b.Mutate(f)
+	}
+	return nil
 }
 
 func branchName(b *WhatIf, i int) string {

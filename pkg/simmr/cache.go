@@ -1,7 +1,7 @@
 package simmr
 
 import (
-	"simmr/internal/engine"
+	"simmr/internal/cellexec"
 	"simmr/internal/rcache"
 )
 
@@ -53,28 +53,5 @@ func NewCache(o CacheOptions) *Cache {
 // all degrade to a plain Replay. On a hit cfg.Sink does not fire — no
 // simulation ran.
 func ReplayCached(c *Cache, cfg ReplayConfig, tr *Trace, p Policy) (res *ReplayResult, hit bool, err error) {
-	key, keyOK := cacheKey(c, cfg, tr, p)
-	if keyOK {
-		if res, ok := c.Get(key); ok {
-			return res, true, nil
-		}
-	}
-	res, err = engine.Run(cfg, tr, p)
-	if err == nil && keyOK {
-		c.Put(key, res)
-	}
-	return res, false, err
-}
-
-// cacheKey computes the content address for (cfg, tr, p) under c,
-// reporting ok=false whenever the lookup must be bypassed (nil cache,
-// unfingerprintable policy).
-func cacheKey(c *Cache, cfg ReplayConfig, tr *Trace, p Policy) (rcache.Key, bool) {
-	if c == nil || tr == nil || p == nil {
-		return rcache.Key{}, false
-	}
-	// ContentHash, not Hash: the structural hash samples only duration
-	// boundaries, which would let an interior what-if edit hit stale
-	// entries. The registry keeps the cheap Hash; keying needs content.
-	return rcache.KeyFor(tr.ContentHash(), cfg, p)
+	return cellexec.ReplayOne(cellexec.Options{Cache: c}, cfg, tr, p)
 }

@@ -40,10 +40,10 @@ func TestReplayBatchSinkIsolation(t *testing.T) {
 		serialSinks[i] = &RecordSink{}
 		parallelSinks[i] = &RecordSink{}
 	}
-	if _, err := ReplayBatchCtx(context.Background(), 1, mkSpecs(serialSinks)); err != nil {
+	if _, err := ReplayBatchCfg(context.Background(), BatchConfig{Workers: 1}, mkSpecs(serialSinks)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayBatchCtx(context.Background(), 8, mkSpecs(parallelSinks)); err != nil {
+	if _, err := ReplayBatchCfg(context.Background(), BatchConfig{Workers: 8}, mkSpecs(parallelSinks)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range serialSinks {
@@ -81,11 +81,13 @@ func TestReplayBatchSinkKeepsDefaultConfig(t *testing.T) {
 	}
 }
 
-// SinkFactory gives each sweep cell its own sink; a shared MetricsSink
-// (the one concurrency-safe sink) may aggregate across all of them.
+// SinkFactory gives each sweep cell its own sink; a shared Telemetry
+// (one lock-free registry shard per cell sink) may aggregate across
+// all of them.
 func TestCapacitySweepSinkFactory(t *testing.T) {
 	tr := sweepTrace()
-	metrics := NewMetricsSink()
+	tel := NewTelemetry()
+	tel.ExpectRuns(6)
 	var mu sync.Mutex
 	perCell := map[[2]int]*RecordSink{}
 	pts, err := CapacitySweep(tr, SweepConfig{
@@ -96,7 +98,7 @@ func TestCapacitySweepSinkFactory(t *testing.T) {
 			mu.Lock()
 			perCell[[2]int{mapSlots, reduceSlots}] = rec
 			mu.Unlock()
-			return TeeSinks(rec, metrics)
+			return TeeSinks(rec, tel.EngineSink())
 		},
 	})
 	if err != nil {
@@ -110,12 +112,12 @@ func TestCapacitySweepSinkFactory(t *testing.T) {
 			t.Errorf("cell %v: sink not driven", cell)
 		}
 	}
-	snap := metrics.Snapshot()
-	if snap.Counters.Jobs != len(pts)*len(tr.Jobs) {
-		t.Fatalf("aggregated jobs = %d, want %d", snap.Counters.Jobs, len(pts)*len(tr.Jobs))
+	v := tel.ExpvarValue().(map[string]any)
+	if got := v["jobs"].(uint64); got != uint64(len(pts)*len(tr.Jobs)) {
+		t.Fatalf("aggregated jobs = %d, want %d", got, len(pts)*len(tr.Jobs))
 	}
-	if snap.Observed == 0 || !snap.Done {
-		t.Fatalf("metrics snapshot %+v", snap)
+	if v["observed_events"].(uint64) == 0 || !v["done"].(bool) {
+		t.Fatalf("telemetry snapshot %+v", v)
 	}
 }
 
@@ -128,11 +130,11 @@ func TestBatchAndSweepProgress(t *testing.T) {
 		specs[i] = ReplaySpec{Trace: tr}
 	}
 	var batchFinals atomic.Int64
-	if _, err := ReplayBatchProgress(context.Background(), 3, func(done, total int) {
+	if _, err := ReplayBatchCfg(context.Background(), BatchConfig{Workers: 3, Progress: func(done, total int) {
 		if done == total && total == len(specs) {
 			batchFinals.Add(1)
 		}
-	}, specs); err != nil {
+	}}, specs); err != nil {
 		t.Fatal(err)
 	}
 	if batchFinals.Load() != 1 {

@@ -123,9 +123,6 @@ type (
 	// ChromeTraceSink exports a replay as Chrome trace-event JSON for
 	// chrome://tracing / Perfetto.
 	ChromeTraceSink = obs.ChromeTraceSink
-	// MetricsSink tallies concurrency-safe counter snapshots (the
-	// cmd/simmr --debug-addr expvar endpoint reads one).
-	MetricsSink = obs.MetricsSink
 	// SlotSpan is one task execution pinned to a concrete slot.
 	SlotSpan = obs.SlotSpan
 	// OverlaySpan is one span on a ChromeTraceSink analysis overlay
@@ -158,9 +155,6 @@ func NewTimelineSink() *TimelineSink { return obs.NewTimelineSink() }
 
 // NewChromeTraceSink returns a Chrome trace-event recorder.
 func NewChromeTraceSink() *ChromeTraceSink { return obs.NewChromeTraceSink() }
-
-// NewMetricsSink returns a concurrency-safe metrics recorder.
-func NewMetricsSink() *MetricsSink { return obs.NewMetricsSink() }
 
 // TeeSinks combines sinks into one that forwards every event to each.
 func TeeSinks(sinks ...Sink) Sink { return obs.Tee(sinks...) }

@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
-	"time"
 
+	"simmr/internal/cellexec"
 	"simmr/internal/engine"
 	"simmr/internal/obs"
 	"simmr/internal/parallel"
-	"simmr/internal/rcache"
 	"simmr/internal/runs"
 	"simmr/internal/sched"
 )
@@ -183,29 +181,10 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 		}
 	}
 
-	// One engine pool per sweep: concurrent cells reuse ~one engine per
-	// worker (queue slab, free list, per-job state) instead of building
-	// an engine per cell. Reset makes reused engines byte-identical to
-	// fresh ones, so determinism across worker counts is preserved.
-	var pool engine.Pool
-	tel := cfg.Telemetry
-	if tel != nil {
-		tel.ExpectRuns(len(sel))
-		pool.OnGet = tel.PoolGet
-	}
-	// The full-content trace digest is cell-invariant; hoisting it keeps
-	// the per-cell cache-key cost independent of trace size (ContentHash
-	// walks every duration entry, so per-cell recomputation would scale
-	// the sweep's key cost by the grid size).
-	var trHash uint64
-	var hits atomic.Uint64
-	if cfg.Cache != nil {
-		trHash = tr.ContentHash()
-	}
-	run := beginRun(cfg.Runs, runs.KindSweep, tr, cfg.Policy,
+	ex := cellexec.Begin(cfg.options(), len(sel), runs.KindSweep, tr, cfg.Policy,
 		fmt.Sprintf("grid=%dx%d shards=%d", len(cfg.MapSlotCounts), rows, max(cfg.Shards, 1)))
-	run.SetPhase("replay")
-	points, err := parallel.MapProgress(ctx, cfg.Workers, len(sel), run.ProgressFunc(cfg.Progress), func(_ context.Context, i int) (SweepPoint, error) {
+	ex.Handle().SetPhase("replay")
+	points, err := cellexec.Map(ctx, ex, len(sel), func(_ context.Context, i int) (SweepPoint, error) {
 		cell := sel[i]
 		c := cells[cell]
 		ecfg := engine.Config{
@@ -213,63 +192,24 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 			ReduceSlots:            c.r,
 			MinMapPercentCompleted: slowstart,
 		}
-		pol := newPolicy()
-		// Consult the cache before claiming an engine (or building any
-		// sinks — a cached cell never simulates, so sinks do not fire).
-		var key rcache.Key
-		var keyOK bool
-		if cfg.Cache != nil {
-			if key, keyOK = rcache.KeyFor(trHash, ecfg, pol); keyOK {
-				if res, ok := cfg.Cache.Get(key); ok {
-					hits.Add(1)
-					run.AddCached(1)
-					run.AddJobs(uint64(len(res.Jobs)))
-					return sweepPoint(cell, c, res), nil
-				}
-			}
-		}
+		var sink func() obs.Sink
 		if cfg.SinkFactory != nil {
-			ecfg.Sink = cfg.SinkFactory(c.m, c.r)
+			sink = func() obs.Sink { return cfg.SinkFactory(c.m, c.r) }
 		}
-		rec, flightDone := runFlight(run, cfg.Flight, fmt.Sprintf("cell-%dx%d", c.m, c.r))
-		if rec != nil {
-			ecfg.Sink = obs.Tee(ecfg.Sink, rec)
-		}
-		var start time.Time
-		if tel != nil {
-			// Each cell's telemetry sink writes its own registry shard;
-			// Tee keeps a caller-provided sink observing too.
-			ecfg.Sink = obs.Tee(ecfg.Sink, tel.EngineSink())
-			start = time.Now()
-		}
-		res, err := pool.Run(ecfg, tr, pol)
-		flightDone(res, err)
+		res, _, err := ex.Replay(ecfg, tr, newPolicy(), fmt.Sprintf("cell-%dx%d", c.m, c.r), sink)
 		if err != nil {
 			return SweepPoint{}, fmt.Errorf("simmr: sweep at %d+%d slots: %w", c.m, c.r, err)
 		}
-		if keyOK {
-			cfg.Cache.Put(key, res)
-		}
-		if tel != nil {
-			tel.ReplayDone(time.Since(start), res.Events)
-		}
-		run.AddEvents(res.Events)
-		run.AddJobs(uint64(len(res.Jobs)))
 		return sweepPoint(cell, c, res), nil
 	})
-	if h := hits.Load(); h > 0 {
-		// Cached cells never replayed: rebalance the expected-run count
-		// so the expvar "done" view converges, and mark a fully
-		// memoized sweep with its own terminal phase.
-		if tel != nil {
-			tel.ExpectRuns(-int(h))
-		}
-		if err == nil && h == uint64(len(sel)) {
-			run.SetPhase("cached")
-		}
-	}
-	run.End(err)
+	ex.End(err)
 	return points, err
+}
+
+// options maps the sweep's flat fields onto the cell executor's.
+func (cfg SweepConfig) options() cellexec.Options {
+	return cellexec.Options{Workers: cfg.Workers, Progress: cfg.Progress, Telemetry: cfg.Telemetry,
+		Runs: cfg.Runs, Flight: cfg.Flight, Cache: cfg.Cache}
 }
 
 // sweepPoint condenses one replay into its sweep cell.
