@@ -30,8 +30,11 @@ bench:
 
 # bench-guard reruns the replay benchmark and fails if allocations per
 # replay regressed more than 5% or events/sec dropped more than 10%
-# against BENCH_engine.json. Keeps the pooled replay hot path fast and
-# the disabled observability path free.
+# against BENCH_engine.json. Allocations are counted after a fixed
+# warm-up over a fixed number of replays; events/sec is compared only
+# when the baseline's host fingerprint matches this host (elsewhere the
+# host-independent speedup ratios stand in). Keeps the pooled replay
+# hot path fast and the disabled observability path free.
 bench-guard:
 	$(GO) run $(LDFLAGS) ./cmd/benchreport -guard -o BENCH_engine.json
 

@@ -7,7 +7,8 @@
 // compares it against an existing baseline, exiting nonzero if
 // allocations per replay regressed beyond benchkit.AllocTolerance or
 // events/sec dropped below the -floor fraction of the baseline
-// (default benchkit.ThroughputFloor, >10% regression) — `make
+// (default benchkit.ThroughputFloor, >10% regression; compared only
+// when the baseline's host fingerprint matches this host's) — `make
 // bench-guard` is the usual entry point, and the check that keeps the
 // pooled replay hot path fast and the no-sink observability path free.
 // CI uses `make bench-guard-ci`, which loosens -floor for shared
@@ -72,6 +73,7 @@ func main() {
 		appendHistory(*history, benchkit.HistoryRecord{
 			Time: now, Mode: "guard", Pass: err == nil,
 			Version:              buildinfo.Version,
+			Host:                 &rep.Host,
 			EventsPerSec:         rep.EventsPerSec,
 			AllocsPerOp:          rep.AllocsPerOp,
 			BytesPerOp:           rep.BytesPerOp,
@@ -100,7 +102,11 @@ func main() {
 	}
 
 	fmt.Fprintln(os.Stderr, "benchreport: running engine benchmarks (replay, serial sweep, parallel sweep)...")
-	m := benchkit.Collect()
+	m, err := benchkit.Collect()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
+		os.Exit(1)
+	}
 	m.GeneratedAt = now
 
 	data, err := json.MarshalIndent(m, "", "  ")
@@ -115,18 +121,19 @@ func main() {
 	}
 	appendHistory(*history, benchkit.HistoryRecord{
 		Time: now, Mode: "bench", Pass: true,
-		Version:             buildinfo.Version,
-		EventsPerSec:        m.EventsPerSec,
-		AllocsPerOp:         m.ReplayAllocsPerOp,
-		BytesPerOp:          m.ReplayBytesPerOp,
-		SchedEventsPerSec:   m.SchedEventsPerSec,
-		SchedAllocsPerOp:    m.SchedAllocsPerOp,
-		ForkNsPerOp:         m.ForkNsPerOp,
-		BranchEventsPerSec:  m.BranchEventsPerSec,
-		BranchSpeedup:       m.BranchSpeedup,
-		AttrEventsPerSec:    m.AttrEventsPerSec,
-		FlightEventsPerSec:  m.FlightEventsPerSec,
-		FlightAllocsPerOp:   m.FlightAllocsPerOp,
+		Version:              buildinfo.Version,
+		Host:                 m.Host,
+		EventsPerSec:         m.EventsPerSec,
+		AllocsPerOp:          m.ReplayAllocsPerOp,
+		BytesPerOp:           m.ReplayBytesPerOp,
+		SchedEventsPerSec:    m.SchedEventsPerSec,
+		SchedAllocsPerOp:     m.SchedAllocsPerOp,
+		ForkNsPerOp:          m.ForkNsPerOp,
+		BranchEventsPerSec:   m.BranchEventsPerSec,
+		BranchSpeedup:        m.BranchSpeedup,
+		AttrEventsPerSec:     m.AttrEventsPerSec,
+		FlightEventsPerSec:   m.FlightEventsPerSec,
+		FlightAllocsPerOp:    m.FlightAllocsPerOp,
 		TraceLoadJobsPerSec:  m.TraceLoadJobsPerSec,
 		TraceLoadSpeedup:     m.TraceLoadSpeedup,
 		TraceBytesPerJob:     m.TraceBytesPerJob,

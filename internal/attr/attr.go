@@ -35,6 +35,7 @@ package attr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -416,6 +417,9 @@ type Sink struct {
 	dense  []jobState
 	sparse map[int]*jobState
 	ids    []int // every observed job ID, arrival order
+	// traceIdx maps job IDs to opts.Trace slab indices, built on the
+	// first lookup and shared read-only with forks.
+	traceIdx map[int]int
 
 	recs    []taskRec
 	open    map[openKey]int32
@@ -458,9 +462,18 @@ func NewSink(opts Options) *Sink {
 func (s *Sink) job(id int) *jobState {
 	if id >= 0 && id < denseLimit {
 		if id >= len(s.dense) {
-			grown := make([]jobState, id+1, (id+1)*2)
-			copy(grown, s.dense)
-			s.dense = grown
+			if id >= cap(s.dense) {
+				// With the trace known, size for all of its jobs at once.
+				c := (id + 1) * 2
+				if s.opts.Trace != nil {
+					c = max(c, min(len(s.opts.Trace.Jobs), denseLimit))
+				}
+				grown := make([]jobState, len(s.dense), c)
+				copy(grown, s.dense)
+				s.dense = grown
+			}
+			// Slots past len are still zero: dense only ever grows.
+			s.dense = s.dense[:id+1]
 		}
 		j := &s.dense[id]
 		if !j.seen {
@@ -490,12 +503,23 @@ func (s *Sink) initJob(j *jobState, id int) {
 	j.rIdleStart = math.NaN()
 	j.preemptor = -1
 	if s.opts.Trace != nil {
-		for _, tj := range s.opts.Trace.Jobs {
-			if tj.ID == id {
-				j.name = tj.Name
-				j.deadline = tj.Deadline
-				break
+		if s.traceIdx == nil {
+			s.traceIdx = make(map[int]int, len(s.opts.Trace.Jobs))
+			for i, tj := range s.opts.Trace.Jobs {
+				if _, dup := s.traceIdx[tj.ID]; !dup { // first match wins
+					s.traceIdx[tj.ID] = i
+				}
 			}
+			// One record per traced task (preempted attempts add more):
+			// sized once instead of regrown by appends.
+			maps, reduces := s.opts.Trace.TotalTasks()
+			s.recs = slices.Grow(s.recs, maps+reduces)
+			s.ids = slices.Grow(s.ids, len(s.opts.Trace.Jobs))
+		}
+		if i, ok := s.traceIdx[id]; ok {
+			tj := s.opts.Trace.Jobs[i]
+			j.name = tj.Name
+			j.deadline = tj.Deadline
 		}
 	}
 	s.ids = append(s.ids, id)
@@ -1012,6 +1036,7 @@ func (s *Sink) Fork() *Sink {
 		lastArrivalJob:  s.lastArrivalJob,
 		lastArrivalTime: s.lastArrivalTime,
 		lastClosed:      s.lastClosed,
+		traceIdx:        s.traceIdx,
 	}
 	for k, v := range s.open {
 		f.open[k] = v

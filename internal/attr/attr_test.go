@@ -3,6 +3,7 @@ package attr_test
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -452,5 +453,39 @@ func TestForkContinuesAttribution(t *testing.T) {
 			t.Fatalf("job %d: parent diverged after child ran: %+v != %+v",
 				want[i].JobID, got[i].Phases, want[i].Phases)
 		}
+	}
+}
+
+// attrAllocBytes returns the bytes allocated by one replay of an
+// n-job trace with an attribution sink attached. Jobs share one small
+// template and arrive 10 s apart, so the replay's own state grows
+// linearly in n.
+func attrAllocBytes(t *testing.T, n int) uint64 {
+	t.Helper()
+	tpl := mkJob(0, 0, 0, []float64{3, 4, 5, 6}, []float64{2}).Template
+	tr := &trace.Trace{Name: "attr-alloc"}
+	for i := 0; i < n; i++ {
+		tr.Jobs = append(tr.Jobs, &trace.Job{ID: i, Name: "j", Arrival: float64(i) * 10, Template: tpl})
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runWithAttr(t, engine.DefaultConfig(), tr, sched.FIFO{})
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestAttrAllocLinearInJobs guards against per-job work that grows
+// with the number of jobs seen so far (a job-state table regrown for
+// every new ID, a linear trace scan per job): ten times the jobs must
+// cost about ten times the bytes, not a hundred.
+func TestAttrAllocLinearInJobs(t *testing.T) {
+	small := attrAllocBytes(t, 2_000)
+	large := attrAllocBytes(t, 20_000)
+	if large > 12*small {
+		t.Fatalf("attribution of 20k jobs allocated %d B, %.1fx the %d B of 2k jobs (limit 12x)",
+			large, float64(large)/float64(small), small)
 	}
 }

@@ -48,68 +48,115 @@ func fixture(jobs int) *simmr.Trace {
 	return tr
 }
 
-// Replay measures whole-trace replay on a shared trace: events/sec
-// throughput and — via ReportAllocs — the steady-state allocations per
-// replay. It replays through a ReplayPool, the same engine-reuse path
-// CapacitySweep and ReplayBatch use, so after the first iteration the
-// engine's jobs slab and the queue's event slab are fully recycled and
-// allocs/op reflects the pooled steady state, not cold construction.
-func Replay(b *testing.B) {
-	tr := fixture(replayJobs)
+// replayOp is one primed, repeatable replay; it reports the events the
+// replay fired. The throughput benchmarks loop over one, and the guard
+// counts its steady-state allocations with steadyAllocs.
+type replayOp func() (events uint64, err error)
+
+// pooledReplay returns a replayOp replaying (cfg, tr, policy) through
+// one ReplayPool — the engine-reuse path CapacitySweep and ReplayBatch
+// use — primed once, so cold engine construction and the trace's
+// one-shot Validate memo stay out of every measurement.
+func pooledReplay(cfg simmr.ReplayConfig, tr *simmr.Trace, policy simmr.Policy) (replayOp, error) {
 	var pool simmr.ReplayPool
-	// Prime outside the timer: cold engine construction and the trace's
-	// one-shot Validate memo are one-time costs that would otherwise
-	// amortize differently as b.N varies run to run, and the steady
-	// state is lean enough that the jitter exceeds the guard's ±5%.
-	if _, err := pool.Run(simmr.DefaultReplayConfig(), tr, simmr.NewFIFO()); err != nil {
+	op := func() (uint64, error) {
+		res, err := pool.Run(cfg, tr, policy)
+		if err != nil {
+			return 0, err
+		}
+		return res.Events, nil
+	}
+	if _, err := op(); err != nil {
+		return nil, err
+	}
+	return op, nil
+}
+
+// runReplays is the throughput benchmark loop: b.N replays of the op
+// mk builds, reported as events/sec and (via ReportAllocs) allocs/op.
+func runReplays(b *testing.B, mk func() (replayOp, error)) {
+	op, err := mk()
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		res, err := pool.Run(simmr.DefaultReplayConfig(), tr, simmr.NewFIFO())
+		n, err := op()
 		if err != nil {
 			b.Fatal(err)
 		}
-		events += res.Events
+		events += n
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// FlightReplay is Replay with a flight recorder attached — the ops
-// plane's always-on post-mortem capture. The recorder is built once and
-// reused across pooled runs (its documented engine-reuse contract), so
-// after the first iteration every event lands in the preallocated ring
-// and allocs/op must equal the plain pooled replay's: the guard holds
-// this benchmark to the very same alloc bound as Replay, proving the
-// recorder's zero-alloc steady state rather than asserting it.
-func FlightReplay(b *testing.B) {
-	tr := fixture(replayJobs)
-	rec := obs.NewFlightRecorder(0) // 4096-event default ring
-	cfg := simmr.DefaultReplayConfig()
-	cfg.Sink = rec
-	var pool simmr.ReplayPool
-	// Primed for the same reason as Replay — and the guard holds this
-	// benchmark to Replay's exact alloc bound, so both must exclude
-	// cold construction identically.
-	if _, err := pool.Run(cfg, tr, simmr.NewFIFO()); err != nil {
-		b.Fatal(err)
+// Steady-state allocation counting: allocWarmup replays, then the mean
+// over allocRuns more. A pooled engine keeps allocating a little over
+// its first several replays before it settles (up to ~30 allocations
+// per replay over the first eight on the multi-tenant fixture), so a
+// fixed warm-up well past that, and a fixed run count, make the count
+// a property of the code alone — not of b.N, which the testing package
+// picks from the host's speed.
+const (
+	allocWarmup = 20
+	allocRuns   = 10
+)
+
+// steadyAllocs returns the steady-state allocations per replay of the
+// op mk builds. It runs at GOMAXPROCS=1 throughout, as
+// testing.AllocsPerRun measures: changing GOMAXPROCS between warm-up
+// and measurement could strand the pooled engine on another P and
+// rebuild it cold inside the count.
+func steadyAllocs(mk func() (replayOp, error)) (int64, error) {
+	op, err := mk()
+	if err != nil {
+		return 0, err
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		res, err := pool.Run(cfg, tr, simmr.NewFIFO())
-		if err != nil {
-			b.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < allocWarmup; i++ {
+		if _, err := op(); err != nil {
+			return 0, err
 		}
-		events += res.Events
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	var runErr error
+	n := testing.AllocsPerRun(allocRuns, func() {
+		if _, err := op(); err != nil {
+			runErr = err
+		}
+	})
+	return int64(n), runErr
 }
+
+// replayFixture is the replay-throughput op: the 200-job production
+// fixture under FIFO, no sink.
+func replayFixture() (replayOp, error) {
+	return pooledReplay(simmr.DefaultReplayConfig(), fixture(replayJobs), simmr.NewFIFO())
+}
+
+// Replay measures whole-trace replay on a shared trace: events/sec
+// throughput and allocs/op. After the priming replay the engine's jobs
+// slab and the queue's event slab are fully recycled, so allocs/op
+// reflects the pooled steady state, not cold construction.
+func Replay(b *testing.B) { runReplays(b, replayFixture) }
+
+// flightFixture is replayFixture with a flight recorder attached — the
+// ops plane's always-on post-mortem capture. The recorder is built once
+// and reused across pooled runs (its documented engine-reuse contract),
+// so every event lands in the preallocated ring and allocations per
+// replay must equal the plain pooled replay's: the guard holds it to
+// the very same bound as replayFixture, proving the recorder's
+// zero-alloc steady state rather than asserting it.
+func flightFixture() (replayOp, error) {
+	cfg := simmr.DefaultReplayConfig()
+	cfg.Sink = obs.NewFlightRecorder(0) // 4096-event default ring
+	return pooledReplay(cfg, fixture(replayJobs), simmr.NewFIFO())
+}
+
+// FlightReplay is Replay over flightFixture.
+func FlightReplay(b *testing.B) { runReplays(b, flightFixture) }
 
 // multiTenantFixture builds the 1000-job dense-burst trace: nearly all
 // jobs are active at once for most of the replay, so allocation rounds
@@ -136,32 +183,22 @@ func multiTenantPolicy(indexed bool) simmr.Policy {
 	return sched.MaxEDF{}
 }
 
-// MultiTenant measures whole-trace replay throughput at 1000
-// concurrently active jobs on the scan or indexed scheduling path. The
-// two are byte-identical in outcome (the engine differential suite
-// proves it); only events/sec and allocs/op differ.
+// multiTenantOp is the replay at 1000 concurrently active jobs on
+// the scan or indexed scheduling path. The two are byte-identical in
+// outcome (the engine differential suite proves it); only events/sec
+// and allocations differ. The indexed path's steady-state allocations
+// are the allocate() regression guard's sched_allocs_per_op.
+func multiTenantOp(indexed bool) (replayOp, error) {
+	return pooledReplay(simmr.DefaultReplayConfig(), multiTenantFixture(), multiTenantPolicy(indexed))
+}
+
+// indexedMultiTenant is multiTenantOp(true), the op behind
+// sched_allocs_per_op.
+func indexedMultiTenant() (replayOp, error) { return multiTenantOp(true) }
+
+// MultiTenant measures multiTenantOp's throughput.
 func MultiTenant(b *testing.B, indexed bool) {
-	tr := multiTenantFixture()
-	policy := multiTenantPolicy(indexed)
-	var pool simmr.ReplayPool
-	// Primed for the same reason as Replay: sched_allocs_per_op guards
-	// the pooled steady state (filler slabs recycled, Validate memoized),
-	// not first-run slab growth.
-	if _, err := pool.Run(simmr.DefaultReplayConfig(), tr, policy); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		res, err := pool.Run(simmr.DefaultReplayConfig(), tr, policy)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Events
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	runReplays(b, func() (replayOp, error) { return multiTenantOp(indexed) })
 }
 
 // Preempt is MultiTenant with map-task preemption enabled: every
@@ -170,27 +207,11 @@ func MultiTenant(b *testing.B, indexed bool) {
 // preemption index on both paths; indexed additionally batches slot
 // allocation.
 func Preempt(b *testing.B, indexed bool) {
-	tr := multiTenantFixture()
-	policy := multiTenantPolicy(indexed)
-	cfg := simmr.DefaultReplayConfig()
-	cfg.PreemptMapTasks = true
-	var pool simmr.ReplayPool
-	// Primed for the same reason as Replay/MultiTenant.
-	if _, err := pool.Run(cfg, tr, policy); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		res, err := pool.Run(cfg, tr, policy)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Events
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	runReplays(b, func() (replayOp, error) {
+		cfg := simmr.DefaultReplayConfig()
+		cfg.PreemptMapTasks = true
+		return pooledReplay(cfg, multiTenantFixture(), multiTenantPolicy(indexed))
+	})
 }
 
 // Attr measures whole-trace replay with a causal attribution sink
@@ -239,9 +260,17 @@ func Sweep(b *testing.B, workers int) {
 // Metrics summarizes one Collect run; cmd/benchreport serializes it as
 // BENCH_engine.json.
 type Metrics struct {
-	GoMaxProcs           int     `json:"gomaxprocs"`
-	NumCPU               int     `json:"num_cpu"`
-	EventsPerSec         float64 `json:"events_per_sec"`
+	GoMaxProcs int `json:"gomaxprocs"`
+	NumCPU     int `json:"num_cpu"`
+	// Host fingerprints the machine the baseline was measured on; the
+	// guard compares absolute throughput only on an equal Host. Absent
+	// on baselines recorded before fingerprinting, which therefore only
+	// hold their allocation and ratio bounds.
+	Host         *Host   `json:"host,omitempty"`
+	EventsPerSec float64 `json:"events_per_sec"`
+	// The *AllocsPerOp counts are steady-state allocations per replay
+	// from steadyAllocs (fixed warm-up and run count), not the
+	// benchmark's b.N-dependent allocs/op column.
 	ReplayAllocsPerOp    int64   `json:"replay_allocs_per_op"`
 	ReplayBytesPerOp     int64   `json:"replay_bytes_per_op"`
 	SweepSerialSeconds   float64 `json:"sweep_serial_seconds"`
@@ -325,23 +354,34 @@ type Metrics struct {
 
 // Collect runs the engine benchmarks (replay, multi-tenant scheduling,
 // what-if branching, capacity sweeps) through testing.Benchmark and
-// condenses their results. The sweep pair is pinned explicitly —
+// condenses their results, stamped with the host's fingerprint; the
+// allocation counts come from steadyAllocs. The sweep pair is pinned
+// explicitly —
 // GOMAXPROCS=1 for the serial reference, GOMAXPROCS=NumCPU for the
 // parallel run — so the recorded speedup measures the worker pool, not
 // whatever GOMAXPROCS the harness happened to inherit.
-func Collect() Metrics {
-	m := Metrics{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+func Collect() (Metrics, error) {
+	host := CurrentHost()
+	m := Metrics{GoMaxProcs: host.GoMaxProcs, NumCPU: host.NumCPU, Host: &host}
+	var err error
+	if m.ReplayAllocsPerOp, err = steadyAllocs(replayFixture); err != nil {
+		return m, err
+	}
+	if m.SchedAllocsPerOp, err = steadyAllocs(indexedMultiTenant); err != nil {
+		return m, err
+	}
+	if m.FlightAllocsPerOp, err = steadyAllocs(flightFixture); err != nil {
+		return m, err
+	}
 
 	rep := testing.Benchmark(Replay)
 	m.EventsPerSec = rep.Extra["events/sec"]
-	m.ReplayAllocsPerOp = rep.AllocsPerOp()
 	m.ReplayBytesPerOp = rep.AllocedBytesPerOp()
 
 	scan := testing.Benchmark(func(b *testing.B) { MultiTenant(b, false) })
 	idx := testing.Benchmark(func(b *testing.B) { MultiTenant(b, true) })
 	m.SchedScanEventsPerSec = scan.Extra["events/sec"]
 	m.SchedEventsPerSec = idx.Extra["events/sec"]
-	m.SchedAllocsPerOp = idx.AllocsPerOp()
 	if m.SchedScanEventsPerSec > 0 {
 		m.SchedSpeedup = m.SchedEventsPerSec / m.SchedScanEventsPerSec
 	}
@@ -353,7 +393,6 @@ func Collect() Metrics {
 
 	fl := testing.Benchmark(FlightReplay)
 	m.FlightEventsPerSec = fl.Extra["events/sec"]
-	m.FlightAllocsPerOp = fl.AllocsPerOp()
 
 	binLoad := testing.Benchmark(TraceLoadBin)
 	jsonLoad := testing.Benchmark(TraceLoadJSON)
@@ -405,7 +444,7 @@ func Collect() Metrics {
 		// switching, not the worker pool; skip it rather than record
 		// sub-1.0 noise that a guard would then have to special-case.
 		m.SweepSpeedupSkipped = true
-		return m
+		return m, nil
 	}
 	par := testing.Benchmark(func(b *testing.B) {
 		prev := runtime.GOMAXPROCS(runtime.NumCPU())
@@ -416,5 +455,5 @@ func Collect() Metrics {
 	if m.SweepParallelSeconds > 0 {
 		m.SweepSpeedup = m.SweepSerialSeconds / m.SweepParallelSeconds
 	}
-	return m
+	return m, nil
 }

@@ -11,16 +11,14 @@ import (
 
 // AllocTolerance is the accepted allocs-per-replay regression against
 // the recorded baseline: the no-sink replay path must stay within 5% of
-// BENCH_engine.json. Allocation counts are deterministic, so this is a
-// hard bound.
+// BENCH_engine.json. Allocation counts come from steadyAllocs and are
+// deterministic, so this is a hard bound.
 const AllocTolerance = 0.05
 
 // allocLimit converts a baseline allocation count to its guard limit:
 // baseline + AllocTolerance, but never tighter than baseline + 1. The
-// pooled steady states are single-digit now, and at that scale the
-// benchmark's integer truncation of a rare amortized allocation (a map
-// bucket split every few hundred runs) flips the reported count by one
-// — that is rounding, not regression, and 5% of 5 is zero headroom.
+// pooled steady states are single-digit now, and 5% of 5 is zero
+// headroom.
 func allocLimit(base int64) int64 {
 	lim := int64(float64(base) * (1 + AllocTolerance))
 	if lim < base+1 {
@@ -30,8 +28,10 @@ func allocLimit(base int64) int64 {
 }
 
 // ThroughputFloor is the fraction of baseline events/sec below which
-// the guard fails: any >10% regression is an error. Wall-clock is
-// noisier than allocation counts, but the replay benchmark is long
+// the guard fails: any >10% regression is an error. It applies only
+// when the baseline was recorded on the same Host — an events/sec
+// figure from another machine says nothing about this one. Wall-clock
+// is noisier than allocation counts, but the replay benchmark is long
 // enough (hundreds of ms per op) that run-to-run jitter on an idle
 // machine stays within a few percent; regenerate BENCH_engine.json via
 // `make bench` when a deliberate trade-off moves the baseline.
@@ -81,6 +81,7 @@ func LoadBaseline(path string) (Metrics, error) {
 // printable summary, so callers (cmd/benchreport) can log the run to
 // BENCH_history.jsonl whether or not the check passed.
 type GuardReport struct {
+	Host         Host
 	AllocsPerOp  int64
 	BytesPerOp   int64
 	EventsPerSec float64
@@ -164,8 +165,9 @@ const BranchSpeedupFloor = 2.0
 
 // Guard reruns the no-sink replay benchmark and fails if it regressed
 // against the baseline: allocations per replay beyond AllocTolerance
-// (hard, deterministic) or throughput below ThroughputFloor (loose,
-// wall-clock). The returned summary is printable either way.
+// (hard, deterministic) or, on the baseline's own host, throughput
+// below ThroughputFloor (loose, wall-clock). The returned summary is
+// printable either way.
 func Guard(baselinePath string) (string, error) {
 	rep, err := GuardWithFloor(baselinePath, ThroughputFloor)
 	return rep.Summary, err
@@ -175,32 +177,48 @@ func Guard(baselinePath string) (string, error) {
 // of the baseline's events/sec). The allocation bound is deterministic
 // and stays at AllocTolerance regardless; the floor is the knob for
 // noisy machines — CI runners use a looser one than the 0.90 default
-// (see `make bench-guard-ci`). floor <= 0 skips the throughput check.
+// (see `make bench-guard-ci`). floor <= 0 skips the throughput check,
+// and so does a baseline from another host (or with no fingerprint):
+// there the ratio bounds — branch, trace-load and cache speedups, each
+// measured against a reference run on this host — stand in for it.
 func GuardWithFloor(baselinePath string, floor float64) (GuardReport, error) {
 	base, err := LoadBaseline(baselinePath)
 	if err != nil {
 		return GuardReport{}, err
 	}
-	bench := testing.Benchmark(Replay)
-	rep := GuardReport{
-		AllocsPerOp:  bench.AllocsPerOp(),
-		BytesPerOp:   bench.AllocedBytesPerOp(),
-		EventsPerSec: bench.Extra["events/sec"],
-		Baseline:     base,
+	rep := GuardReport{Host: CurrentHost(), Baseline: base}
+	sameHost := base.Host != nil && *base.Host == rep.Host
+	if !sameHost {
+		floor = 0
 	}
+	if rep.AllocsPerOp, err = steadyAllocs(replayFixture); err != nil {
+		return rep, err
+	}
+	bench := testing.Benchmark(Replay)
+	rep.BytesPerOp = bench.AllocedBytesPerOp()
+	rep.EventsPerSec = bench.Extra["events/sec"]
 
 	replayAllocLimit := allocLimit(base.ReplayAllocsPerOp)
 	rep.Summary = fmt.Sprintf("replay allocs/op %d (baseline %d, limit %d), %.0f events/sec (baseline %.0f, floor %.0f)",
 		rep.AllocsPerOp, base.ReplayAllocsPerOp, replayAllocLimit,
 		rep.EventsPerSec, base.EventsPerSec, base.EventsPerSec*floor)
+	if !sameHost {
+		baseHost := "unrecorded"
+		if base.Host != nil {
+			baseHost = base.Host.String()
+		}
+		rep.Summary += fmt.Sprintf("; absolute throughput not compared (baseline host: %s; this host: %s)", baseHost, rep.Host)
+	}
 
 	// Multi-tenant smoke: rerun the indexed 1000-job replay and hold the
 	// allocate() fast path to the same deterministic 5% allocation bound.
 	// Skipped against baselines that predate the sched metrics.
 	var schedLimit int64
 	if base.SchedAllocsPerOp > 0 {
+		if rep.SchedAllocsPerOp, err = steadyAllocs(indexedMultiTenant); err != nil {
+			return rep, err
+		}
 		sb := testing.Benchmark(func(b *testing.B) { MultiTenant(b, true) })
-		rep.SchedAllocsPerOp = sb.AllocsPerOp()
 		rep.SchedEventsPerSec = sb.Extra["events/sec"]
 		schedLimit = allocLimit(base.SchedAllocsPerOp)
 		rep.Summary += fmt.Sprintf("; sched allocs/op %d (baseline %d, limit %d), %.0f events/sec (baseline %.0f)",
@@ -256,8 +274,10 @@ func GuardWithFloor(baselinePath string, floor float64) (GuardReport, error) {
 	// flight-specific baseline might have absorbed. Skipped against
 	// baselines that predate the flight benchmark.
 	if base.FlightEventsPerSec > 0 {
+		if rep.FlightAllocsPerOp, err = steadyAllocs(flightFixture); err != nil {
+			return rep, err
+		}
 		fb := testing.Benchmark(FlightReplay)
-		rep.FlightAllocsPerOp = fb.AllocsPerOp()
 		rep.FlightEventsPerSec = fb.Extra["events/sec"]
 		rep.Summary += fmt.Sprintf("; flight allocs/op %d (replay limit %d), %.0f events/sec (baseline %.0f)",
 			rep.FlightAllocsPerOp, replayAllocLimit, rep.FlightEventsPerSec, base.FlightEventsPerSec)
@@ -307,7 +327,7 @@ func GuardWithFloor(baselinePath string, floor float64) (GuardReport, error) {
 		return rep, fmt.Errorf("benchkit: replay allocations regressed >%.0f%%: %d/op vs baseline %d/op",
 			AllocTolerance*100, rep.AllocsPerOp, base.ReplayAllocsPerOp)
 	}
-	if floor > 0 && base.EventsPerSec > 0 && rep.EventsPerSec < base.EventsPerSec*floor {
+	if floor > 0 && rep.EventsPerSec < base.EventsPerSec*floor {
 		return rep, fmt.Errorf("benchkit: replay throughput collapsed: %.0f events/sec vs baseline %.0f (floor %.2f)",
 			rep.EventsPerSec, base.EventsPerSec, floor)
 	}

@@ -19,6 +19,9 @@ type HistoryRecord struct {
 	// it to name the commit range a regression entered in. Empty on
 	// records predating version stamping.
 	Version string `json:"version,omitempty"`
+	// Host is the machine the run measured on; nil on records predating
+	// host fingerprints.
+	Host *Host `json:"host,omitempty"`
 
 	EventsPerSec float64 `json:"events_per_sec"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`

@@ -4,10 +4,12 @@
 // The substrate is deliberately small: simulated time is a float64 number
 // of seconds, events carry an opaque payload, and the event queue is a
 // 4-ary heap ordered by (time, sequence number) so that events scheduled
-// at the same instant fire in FIFO order. Determinism is a design goal:
-// given the same schedule of events, a simulation always unfolds
-// identically — the (time, seq) key is a total order, so the pop sequence
-// is independent of the heap's internal shape.
+// at the same instant fire in FIFO order, merged with an optional
+// pre-sorted arrival lane. Determinism is a design goal: given the same
+// schedule of events, a simulation always unfolds identically — the
+// (time, seq) key is a total order, so the pop sequence is independent
+// of the heap's internal shape and of whether an event waited in the
+// heap or in the lane.
 package des
 
 import (
@@ -38,6 +40,18 @@ type Event struct {
 	index int    // heap index; -1 once popped or canceled, -2 once freed
 }
 
+// Lane is a read-only run of same-type events — in the SimMR engine,
+// a trace's job arrivals — that a queue merges against its heap instead
+// of holding one heap entry per event. Entries must be ordered by
+// nondecreasing time; ties keep lane order. A Lane is never modified by
+// the queue, so queues (and their clones) may share one.
+type Lane interface {
+	// Len returns the number of entries.
+	Len() int
+	// At returns the time and job ID of the k-th entry.
+	At(k int) (t Time, jobID int)
+}
+
 // freedIndex marks an event returned to the queue's free list.
 const freedIndex = -2
 
@@ -63,6 +77,19 @@ func (e *Event) String() string {
 // EventQueue is a priority queue of events ordered by time, with FIFO
 // ordering among events at equal times. The zero value is ready to use.
 //
+// Pending events live in two places. Pushed events sit in a heap. A
+// Lane installed by SetLane sits beside it as a cursor over entries the
+// queue never copies: Pop and Peek compare the lane's next entry with
+// the heap top and take the lane's on a time tie. SetLane requires an
+// empty queue and gives the lane the next Len() sequence numbers, so
+// every later push sorts after every lane entry at equal times, and the
+// merged pop order is exactly the (Time, seq) order the heap would give
+// had each lane entry been pushed up front. "Pending" counts both:
+// Len, HighWater and the depth the engine samples include lane entries
+// not yet popped, as they did when those entries were pushed. Lane
+// entries are not individually addressable — they cannot be updated or
+// removed, and PendingAt does not reach them.
+//
 // The backing store is a 4-ary heap specialized for *Event: sift-up and
 // sift-down are concrete methods moving pointers through a hole (no
 // heap.Interface, no `any` boxing, no dynamic Less/Swap dispatch per
@@ -73,14 +100,27 @@ func (e *Event) String() string {
 // Events are slab-allocated in chunks and recycled through a free list:
 // a simulator that calls Free on events it has finished handling runs
 // near-zero-alloc in steady state, because the live-event population
-// (bounded by slots plus pending arrivals) is far smaller than the
-// total event count. Queues are not safe for concurrent use; every
-// concurrent simulation owns its own queue.
+// (bounded by slots, plus arrivals when they are pushed rather than
+// laned) is far smaller than the total event count. Queues are not
+// safe for concurrent use; every concurrent simulation owns its own
+// queue.
 type EventQueue struct {
 	h       []*Event
 	nextSeq uint64
 	fired   uint64
 	hiWater int
+
+	// The lane: entries laneK..laneN-1 are pending, entry k carries seq
+	// laneSeq+k, and (laneT, laneID) caches At(laneK) while laneK < laneN.
+	lane    Lane
+	laneTyp int
+	laneN   int
+	laneK   int
+	laneSeq uint64
+	laneT   Time
+	laneID  int
+	// view is what Peek returns for the lane's next entry.
+	view Event
 
 	slab []Event  // tail of the current allocation chunk
 	free []*Event // recycled events, reused before the slab grows
@@ -88,8 +128,8 @@ type EventQueue struct {
 
 // slabChunk is the event-slab allocation granularity. One chunk covers
 // the steady-state live-event population of typical replays (cluster
-// slots + queued arrivals), so most runs allocate one or two chunks
-// total instead of one Event per fired event.
+// slots plus a few same-instant events), so most runs allocate one or
+// two chunks total instead of one Event per fired event.
 const slabChunk = 256
 
 // alloc hands out an event from the free list or the slab.
@@ -147,6 +187,8 @@ func (q *EventQueue) Reset() {
 	q.nextSeq = 0
 	q.fired = 0
 	q.hiWater = 0
+	q.lane = nil // do not pin the lane's backing data
+	q.laneN, q.laneK = 0, 0
 }
 
 // CloneInto reproduces the queue's complete pending state into dst,
@@ -156,7 +198,9 @@ func (q *EventQueue) Reset() {
 //
 // The clone preserves everything that determines future behavior:
 // every pending event's (Time, seq) key, payload, and — deliberately —
-// its heap position, plus the nextSeq, fired, and high-water counters.
+// its heap position, the lane cursor, plus the nextSeq, fired, and
+// high-water counters. The lane itself is shared, not copied: a clone
+// costs O(heap events) whatever the number of pending lane entries.
 // Position preservation is a contract, not an accident: PendingAt(i)
 // on the clone is the clone's copy of PendingAt(i) on the source, so a
 // simulator holding *Event handles into the source (running-task
@@ -183,27 +227,60 @@ func (q *EventQueue) CloneInto(dst *EventQueue) {
 	dst.nextSeq = q.nextSeq
 	dst.fired = q.fired
 	dst.hiWater = q.hiWater
+	dst.lane, dst.laneTyp = q.lane, q.laneTyp
+	dst.laneN, dst.laneK, dst.laneSeq = q.laneN, q.laneK, q.laneSeq
+	dst.laneT, dst.laneID = q.laneT, q.laneID
 }
 
 // PendingAt returns the pending event at heap position i (0 <= i <
-// Len()). Positions are heap-internal and change as events push and
-// pop; the accessor exists for the CloneInto remapping contract above,
-// where source and clone positions coincide by construction.
+// Len()-LaneLen()). Positions are heap-internal and change as events
+// push and pop; the accessor exists for the CloneInto remapping
+// contract above, where source and clone positions coincide by
+// construction.
 func (q *EventQueue) PendingAt(i int) *Event { return q.h[i] }
 
-// Len returns the number of pending events.
-func (q *EventQueue) Len() int { return len(q.h) }
+// Len returns the number of pending events, lane entries included.
+func (q *EventQueue) Len() int { return len(q.h) + q.laneN - q.laneK }
+
+// LaneLen returns the number of lane entries not yet popped.
+func (q *EventQueue) LaneLen() int { return q.laneN - q.laneK }
+
+// SetLane installs l as the queue's lane; its entries pop as events of
+// type typ with nil payloads. The queue must be empty (a freshly Reset
+// queue, as the engine installs its arrivals). The lane takes the next
+// l.Len() sequence numbers and counts toward Len and HighWater at once.
+func (q *EventQueue) SetLane(l Lane, typ int) {
+	if q.Len() != 0 {
+		panic("des: SetLane on a non-empty EventQueue")
+	}
+	q.lane, q.laneTyp = l, typ
+	q.laneN, q.laneK = l.Len(), 0
+	q.laneSeq = q.nextSeq
+	q.nextSeq += uint64(q.laneN)
+	if q.laneN > 0 {
+		q.laneT, q.laneID = l.At(0)
+	}
+	if q.laneN > q.hiWater {
+		q.hiWater = q.laneN
+	}
+}
+
+// laneFirst reports whether the next event to pop is the lane's: its
+// entries win time ties because their seqs precede every heap event's.
+func (q *EventQueue) laneFirst() bool {
+	return q.laneK < q.laneN && (len(q.h) == 0 || q.laneT <= q.h[0].Time)
+}
 
 // Fired returns the total number of events popped so far. It is the
 // denominator of the "events per second" throughput metric reported in
 // the paper (§I: "SimMR can process over one million events per second").
 func (q *EventQueue) Fired() uint64 { return q.fired }
 
-// HighWater returns the peak pending-event population seen so far —
-// the engine's "heap high-water" observability counter, and the
-// quantity that bounds steady-state allocations under the slab/free-
-// list discipline (allocations track peak live events, not total
-// events fired).
+// HighWater returns the peak pending-event population (Len) seen so
+// far — the engine's "heap high-water" observability counter. The heap
+// itself never holds more than HighWater minus the lane entries popped
+// by then, which is what bounds steady-state allocations under the
+// slab/free-list discipline.
 func (q *EventQueue) HighWater() int { return q.hiWater }
 
 // Push schedules a new event and returns it. The returned pointer can be
@@ -228,8 +305,18 @@ func (q *EventQueue) PushTask(t Time, typ, jobID, task int) *Event {
 }
 
 // Pop removes and returns the earliest event. It panics if the queue is
-// empty; callers must check Len first.
+// empty; callers must check Len first. A lane entry pops as an event
+// drawn from the slab like any other, to be handed back with Free.
 func (q *EventQueue) Pop() *Event {
+	if q.laneFirst() {
+		q.fired++
+		e := q.alloc()
+		*e = q.laneHead()
+		if q.laneK++; q.laneK < q.laneN {
+			q.laneT, q.laneID = q.lane.At(q.laneK)
+		}
+		return e
+	}
 	if len(q.h) == 0 {
 		panic("des: Pop on empty EventQueue")
 	}
@@ -248,8 +335,21 @@ func (q *EventQueue) Pop() *Event {
 	return e
 }
 
+// laneHead is the lane's next entry as an unscheduled event.
+func (q *EventQueue) laneHead() Event {
+	return Event{Time: q.laneT, Type: q.laneTyp, JobID: q.laneID, seq: q.laneSeq + uint64(q.laneK), index: -1}
+}
+
 // Peek returns the earliest event without removing it, or nil if empty.
+// When that is a lane entry, the result is a read-only view, valid
+// until the next queue call: it is not Scheduled, and must not be
+// passed to Update, Remove or Free.
 func (q *EventQueue) Peek() *Event {
+	if q.laneFirst() {
+		q.view = q.laneHead()
+		q.view.index = freedIndex // Free panics on it
+		return &q.view
+	}
 	if len(q.h) == 0 {
 		return nil
 	}
@@ -308,8 +408,8 @@ func (q *EventQueue) heapPush(e *Event) {
 	e.index = len(q.h)
 	q.h = append(q.h, e)
 	q.up(e.index)
-	if len(q.h) > q.hiWater {
-		q.hiWater = len(q.h)
+	if n := q.Len(); n > q.hiWater {
+		q.hiWater = n
 	}
 }
 

@@ -214,8 +214,8 @@ type runState uint8
 const (
 	// runIdle: armed by New/Reset; Run has not started.
 	runIdle runState = iota
-	// runStarted: arrivals pushed, replay in flight — possibly paused
-	// between macro-steps by RunEvents. Forked engines start here.
+	// runStarted: arrival lane installed, replay in flight — possibly
+	// paused between macro-steps by RunEvents. Forked engines start here.
 	runStarted
 	// runDone: Run assembled its Result; only Reset re-arms.
 	runDone
@@ -244,6 +244,9 @@ type Engine struct {
 	jobs    []simJob
 	indexOf map[int]int // job ID -> index in jobs; nil when IDs are dense
 	active  []*sched.JobInfo
+	// arrivals is the trace's shared replay order, installed as the
+	// event queue's lane when the run starts.
+	arrivals *trace.Arrivals
 
 	freeMap    int
 	freeReduce int
@@ -329,6 +332,7 @@ func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 		return err
 	}
 	n := len(tr.Jobs)
+	e.arrivals = tr.Arrivals()
 	e.cfg = cfg
 	e.policy = policy
 	e.sink = cfg.Sink
@@ -543,18 +547,18 @@ func (e *Engine) jobLookup(id int) (*simJob, bool) {
 	return e.jobAt(i), true
 }
 
-// start pushes the initial job arrivals, moving the engine from armed
-// to in-flight. Idempotent while the run is in flight; rejected once
-// the run finished (the old "Run called twice" protection) or the
-// engine was sealed by Snapshot.
+// start installs the trace's arrivals as the event queue's lane, moving
+// the engine from armed to in-flight. The lane pops arrivals in
+// (arrival time, slab index) order ahead of any same-time heap event —
+// exactly the order pushing every arrival up front, in slab order,
+// would give — while the heap holds only in-flight work. Idempotent
+// while the run is in flight; rejected once the run finished (the old
+// "Run called twice" protection) or the engine was sealed by Snapshot.
 func (e *Engine) start() error {
 	switch e.state {
 	case runIdle:
 		e.state = runStarted
-		for i := range e.jobs {
-			sj := &e.jobs[i]
-			e.q.Push(sj.info.Arrival, evJobArrival, sj.info.ID, nil)
-		}
+		e.q.SetLane(e.arrivals, evJobArrival)
 		return nil
 	case runStarted:
 		return nil
@@ -650,7 +654,7 @@ func (e *Engine) Run() (*Result, error) {
 // fired (as counted by the queue's Fired counter — the same index
 // Result.Events reports) or the replay completes, then pauses at a
 // macro-step boundary. It reports whether the replay is complete.
-// RunEvents(0) starts the run — arrivals pushed, nothing fired — so a
+// RunEvents(0) starts the run — arrivals laned, nothing fired — so a
 // t=0 snapshot is well-defined. A paused engine accepts the mutation
 // APIs (SetDeadline, InjectJob, SetPolicy), further RunEvents calls,
 // Snapshot, or a finishing Run; note Run, not RunEvents, assembles the

@@ -1,9 +1,10 @@
 // Copy-on-write engine forking (DESIGN.md §12): pause a replay at any
 // macro-step boundary, seal it into an immutable Snapshot, and fork as
 // many cheap branch engines off it as there are what-if questions.
-// Each fork owns a full clone of the pending event queue (small — the
-// live-event population, not the trace) and borrows the sealed jobs
-// slab read-only, copying 16-job chunks lazily on first write. Forks
+// Each fork owns a full clone of the pending event heap (small — the
+// in-flight events, not the trace; the arrival lane is shared, only its
+// cursor is copied) and borrows the sealed jobs slab read-only,
+// copying 16-job chunks lazily on first write. Forks
 // are independent engines: they run, pause, mutate (SetDeadline,
 // InjectJob, SetPolicy), and produce Results byte-identical to a
 // from-scratch replay that took the same decisions at the same events
@@ -38,11 +39,12 @@ const (
 
 // ForkStats reports how much engine state a fork physically duplicated
 // versus still serves read-only from its snapshot. BytesCopied counts
-// the cloned event queue plus every jobs-slab chunk copied — eagerly
-// for active jobs at fork time, lazily on first write after;
-// BytesShared counts the jobs-slab bytes still borrowed. Bytes migrate
-// from shared to copied as the branch diverges, so read the stats
-// after the branch's Run for the end-of-life split.
+// the cloned heap events (not the shared arrival lane) plus every
+// jobs-slab chunk copied — eagerly for active jobs at fork time,
+// lazily on first write after; BytesShared counts the jobs-slab bytes
+// still borrowed. Bytes migrate from shared to copied as the branch
+// diverges, so read the stats after the branch's Run for the
+// end-of-life split.
 type ForkStats struct {
 	BytesCopied uint64
 	BytesShared uint64
@@ -75,7 +77,7 @@ func (s *Snapshot) Done() bool { return s.e.remaining == 0 }
 
 // Snapshot seals the engine at its current macro-step boundary and
 // returns the immutable fork source. An idle engine is started first
-// (arrivals pushed, nothing fired), so a t=0 snapshot is well-defined;
+// (arrivals laned, nothing fired), so a t=0 snapshot is well-defined;
 // a completed engine seals its final state. Sealing a fork first
 // materializes every still-borrowed chunk so the new snapshot is
 // self-contained and its own source is released. Snapshot is
@@ -243,6 +245,7 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	dst.prog, _ = opts.Sink.(obs.ProgressSampler)
 	dst.depthTick = 0
 	dst.policy = policy
+	dst.arrivals = src.arrivals
 	dst.clock = src.clock
 	dst.freeMap = src.freeMap
 	dst.freeReduce = src.freeReduce
@@ -255,8 +258,9 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	dst.state = runStarted
 	dst.snap = nil
 
-	// Pending events: a full clone with positions preserved — the
-	// remapEvent contract — into dst's recycled slab.
+	// Pending events: a full clone of the heap with positions preserved —
+	// the remapEvent contract — into dst's recycled slab; the arrival
+	// lane is shared and only its cursor copied.
 	src.q.CloneInto(&dst.q)
 
 	// Jobs slab: sized but not copied; chunks borrow from the snapshot
@@ -281,7 +285,7 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	dst.indexOf = src.indexOf // borrowed read-only; InjectJob copies on write
 	dst.sharedIndex = src.indexOf != nil
 	dst.stats = ForkStats{
-		BytesCopied: uint64(dst.q.Len()) * eventBytes,
+		BytesCopied: uint64(dst.q.Len()-dst.q.LaneLen()) * eventBytes,
 		BytesShared: uint64(n) * jobBytes,
 	}
 

@@ -607,6 +607,28 @@ func TestForkStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestForkSharesArrivalLane pins what a fork copies of pending
+// arrivals: nothing but the lane cursor. A fork before the first event
+// has every arrival pending and no heap event, so it copies zero bytes
+// while still counting every arrival as pending.
+func TestForkSharesArrivalLane(t *testing.T) {
+	tr, err := synth.MultiTenantTrace(100, rand.New(rand.NewSource(17)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix, _ := pauseAt(t, DefaultConfig(), tr, sched.FIFO{}, 0)
+	fork, err := prefix.Fork(ForkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fork.ForkStats().BytesCopied; got != 0 {
+		t.Fatalf("fork at t=0 copied %d bytes, want 0", got)
+	}
+	if fork.q.Len() != len(tr.Jobs) || fork.q.LaneLen() != len(tr.Jobs) {
+		t.Fatalf("fork pending %d (lane %d), want %d arrivals", fork.q.Len(), fork.q.LaneLen(), len(tr.Jobs))
+	}
+}
+
 // TestForkAPIErrors pins the guard rails: sealed engines reject Run and
 // mutation, forks of batch-policy snapshots need a fresh instance,
 // destinations can't be the source or sealed, mutations validate their

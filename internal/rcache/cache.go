@@ -25,10 +25,20 @@ const entryOverhead = 128
 // destroy foreign data.
 const diskExt = ".srrc"
 
-// numShards stripes the memory tier's locks; power of two, selected by
-// the key's low bits. 16 comfortably exceeds the sweep runtime's
-// worker parallelism on the machines this targets.
-const numShards = 16
+// numShards stripes the memory tier's locks and byte budget, selected
+// by the key's top shardBits bits (see shardOf). 16 comfortably exceeds
+// the sweep runtime's worker parallelism on the machines this targets.
+const (
+	shardBits = 4
+	numShards = 1 << shardBits
+)
+
+// shardOf returns k's shard. The high bits, not the low ones: an
+// FNV-1a output's low 4 bits depend only on the low 4 bits of each
+// input byte, so keys differing only in nibble-aligned fields — the
+// slot counts of a square capacity sweep (32, 48, 64, …, 256) — would
+// all share one shard and one sixteenth of the budget.
+func (c *Cache) shardOf(k Key) *shard { return &c.shards[k.Lo>>(64-shardBits)] }
 
 // Observer receives cache events for telemetry. All methods must be
 // safe for concurrent use; telemetry.SimMetrics implements it with
@@ -123,7 +133,7 @@ func (c *Cache) Get(k Key) (*engine.Result, bool) {
 	if c == nil {
 		return nil, false
 	}
-	s := &c.shards[k.Lo&(numShards-1)]
+	s := c.shardOf(k)
 	s.mu.Lock()
 	n, ok := s.m[k]
 	var data []byte
@@ -191,7 +201,7 @@ func (c *Cache) insert(k Key, data []byte) {
 	if cost > c.perShard {
 		return
 	}
-	s := &c.shards[k.Lo&(numShards-1)]
+	s := c.shardOf(k)
 	var evicted uint64
 	s.mu.Lock()
 	n, ok := s.m[k]
@@ -229,7 +239,7 @@ func (c *Cache) insert(k Key, data []byte) {
 
 // remove drops k from the memory tier (poisoned entry path).
 func (c *Cache) remove(k Key) {
-	s := &c.shards[k.Lo&(numShards-1)]
+	s := c.shardOf(k)
 	s.mu.Lock()
 	if n, ok := s.m[k]; ok {
 		s.unlink(n)

@@ -12,6 +12,7 @@ import (
 	"simmr/internal/obs"
 	"simmr/internal/sched"
 	"simmr/internal/synth"
+	"simmr/internal/trace"
 )
 
 func testResult(t testing.TB, jobs int, cfg engine.Config, p sched.Policy) (*engine.Result, uint64) {
@@ -226,7 +227,7 @@ func TestOverwriteGrowthEvicts(t *testing.T) {
 
 	// Budget: four small entries per shard.
 	c := New(Options{MemBytes: perSmall * 4 * numShards})
-	// Fill one shard with four small entries (same low bits → same shard).
+	// Fill one shard with four small entries (same Lo → same shard).
 	keys := make([]Key, 4)
 	for i := range keys {
 		keys[i] = Key{Hi: uint64(i), Lo: h << 4} // identical shard selector
@@ -241,7 +242,7 @@ func TestOverwriteGrowthEvicts(t *testing.T) {
 		t.Skip("large entry exceeds whole shard budget; sizes drifted")
 	}
 	c.insert(keys[3], largeImg)
-	s := &c.shards[keys[3].Lo&(numShards-1)]
+	s := c.shardOf(keys[3])
 	s.mu.Lock()
 	bytes, entries := s.bytes, len(s.m)
 	s.mu.Unlock()
@@ -371,5 +372,104 @@ func TestNilCacheIsAlwaysMiss(t *testing.T) {
 	}
 	if err := c.Clear(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// poolThenStream reads from pool until streaming is set, then from
+// stream: the template pool and the job stream of a trace come from
+// separate seeds, as in the end-to-end sweep benchmark.
+type poolThenStream struct {
+	pool, stream rand.Source64
+	streaming    bool
+}
+
+func (p *poolThenStream) cur() rand.Source64 {
+	if p.streaming {
+		return p.stream
+	}
+	return p.pool
+}
+
+func (p *poolThenStream) Int63() int64    { return p.cur().Int63() }
+func (p *poolThenStream) Uint64() uint64  { return p.cur().Uint64() }
+func (p *poolThenStream) Seed(seed int64) { p.cur().Seed(seed) }
+
+// sweepBenchTrace is the end-to-end sweep benchmark's seed-1 input: 20k
+// multi-tenant jobs over a 256-template pool, 70% with deadlines.
+func sweepBenchTrace(t *testing.T) *trace.Trace {
+	t.Helper()
+	src := &poolThenStream{pool: rand.NewSource(1).(rand.Source64), stream: rand.NewSource(1).(rand.Source64)}
+	s, err := synth.NewStream(synth.StreamConfig{
+		Name: "sweep", Jobs: 20_000, MeanInterArrival: 10,
+		TemplatePool: 256, DeadlineFraction: 0.7, DeadlineSlack: 900,
+		Shapes: []synth.WeightedShape{{Shape: synth.MultiTenantShape(), Weight: 1}},
+	}, rand.New(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.streaming = true
+	tr, err := s.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestSweepGridSpreadsAcrossShards replays the refine-the-grid study's
+// cache traffic: a square sweep over {32,64,128,256} slots, then the
+// refined {32,48,64,96,128,192,256}, through one default-budget cache.
+// The grid's keys must spread over the shards, and the refined pass
+// must find all four cells the first pass stored. Keys differing only
+// in their slot counts once all landed in a single shard, whose
+// sixteenth of the budget could not hold four 20k-job results.
+func TestSweepGridSpreadsAcrossShards(t *testing.T) {
+	tr := sweepBenchTrace(t)
+	h := tr.ContentHash()
+	policy := sched.Indexed(sched.MinEDF{})
+	key := func(slots int) Key {
+		cfg := engine.DefaultConfig()
+		cfg.MapSlots, cfg.ReduceSlots = slots, slots
+		k, ok := KeyFor(h, cfg, policy)
+		if !ok {
+			t.Fatal("Indexed(MinEDF) must fingerprint")
+		}
+		return k
+	}
+	coarse := []int{32, 64, 128, 256}
+	refined := []int{32, 48, 64, 96, 128, 192, 256}
+
+	c := New(Options{})
+	shards := map[*shard]bool{}
+	for _, slots := range refined {
+		shards[c.shardOf(key(slots))] = true
+	}
+	if len(shards) < 4 {
+		t.Fatalf("the 7 grid keys fall into %d shards, want >= 4", len(shards))
+	}
+
+	// A 20k-job result stands in for each cell's replay: the encoded
+	// size, not the values, decides what the budget holds.
+	res := &engine.Result{Jobs: make([]engine.JobOutcome, len(tr.Jobs))}
+	for i, j := range tr.Jobs {
+		res.Jobs[i] = engine.JobOutcome{
+			ID: j.ID, Name: j.Name, Arrival: j.Arrival, Deadline: j.Deadline,
+			Finish: j.Arrival + float64(i%977), MapStageEnd: j.Arrival + float64(i%613),
+			MapTasksRun: j.Template.NumMaps, ReduceTasksRun: j.Template.NumReduces,
+			Events: 3 + 4*(j.Template.NumMaps+j.Template.NumReduces),
+		}
+	}
+	for _, slots := range coarse {
+		c.Put(key(slots), res)
+	}
+	hits := 0
+	for _, slots := range refined {
+		if _, ok := c.Get(key(slots)); ok {
+			hits++
+		} else {
+			c.Put(key(slots), res)
+		}
+	}
+	if hits != len(coarse) {
+		t.Fatalf("refined pass hit %d of the %d revisited cells (stats %+v)", hits, len(coarse), c.Stats())
 	}
 }

@@ -259,6 +259,10 @@ type Trace struct {
 	// jobs in place after a successful Validate is not re-checked;
 	// Normalize (the documented mutation point) clears the memo.
 	validated atomic.Bool
+
+	// arrivals memoizes Arrivals; Arrivals checks it
+	// against the jobs on every call, and Normalize clears it.
+	arrivals atomic.Pointer[Arrivals]
 }
 
 // SetBacking attaches the storage this trace's templates alias (e.g. a
@@ -330,6 +334,7 @@ func (tr *Trace) Validate() error {
 // IDs in arrival order. Call before replaying a hand-assembled trace.
 func (tr *Trace) Normalize() {
 	tr.validated.Store(false)
+	tr.arrivals.Store(nil)
 	slices.SortStableFunc(tr.Jobs, func(a, b *Job) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	for i, j := range tr.Jobs {
 		j.ID = i
