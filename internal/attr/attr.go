@@ -35,7 +35,6 @@ package attr
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -510,11 +509,6 @@ func (s *Sink) initJob(j *jobState, id int) {
 					s.traceIdx[tj.ID] = i
 				}
 			}
-			// One record per traced task (preempted attempts add more):
-			// sized once instead of regrown by appends.
-			maps, reduces := s.opts.Trace.TotalTasks()
-			s.recs = slices.Grow(s.recs, maps+reduces)
-			s.ids = slices.Grow(s.ids, len(s.opts.Trace.Jobs))
 		}
 		if i, ok := s.traceIdx[id]; ok {
 			tj := s.opts.Trace.Jobs[i]

@@ -163,6 +163,18 @@ const CacheColdOverheadMaxPct = 2.0
 // speed, and 2.0 stays far below the ~4.7x the 90% point predicts.
 const BranchSpeedupFloor = 2.0
 
+// sameHost reports whether the baseline's absolute throughput can be
+// held against host h. A fingerprinted baseline must match h exactly. A
+// baseline recorded before fingerprints existed falls back to the CPU
+// count and GOMAXPROCS it has always carried, so the host that recorded
+// it keeps its throughput floors.
+func sameHost(base Metrics, h Host) bool {
+	if base.Host != nil {
+		return *base.Host == h
+	}
+	return base.NumCPU == h.NumCPU && base.GoMaxProcs == h.GoMaxProcs
+}
+
 // Guard reruns the no-sink replay benchmark and fails if it regressed
 // against the baseline: allocations per replay beyond AllocTolerance
 // (hard, deterministic) or, on the baseline's own host, throughput
@@ -178,17 +190,17 @@ func Guard(baselinePath string) (string, error) {
 // and stays at AllocTolerance regardless; the floor is the knob for
 // noisy machines — CI runners use a looser one than the 0.90 default
 // (see `make bench-guard-ci`). floor <= 0 skips the throughput check,
-// and so does a baseline from another host (or with no fingerprint):
-// there the ratio bounds — branch, trace-load and cache speedups, each
-// measured against a reference run on this host — stand in for it.
+// and so does a baseline from another host (see sameHost): there the
+// ratio bounds — branch, trace-load and cache speedups, each measured
+// against a reference run on this host — are all that is checked.
 func GuardWithFloor(baselinePath string, floor float64) (GuardReport, error) {
 	base, err := LoadBaseline(baselinePath)
 	if err != nil {
 		return GuardReport{}, err
 	}
 	rep := GuardReport{Host: CurrentHost(), Baseline: base}
-	sameHost := base.Host != nil && *base.Host == rep.Host
-	if !sameHost {
+	same := sameHost(base, rep.Host)
+	if !same {
 		floor = 0
 	}
 	if rep.AllocsPerOp, err = steadyAllocs(replayFixture); err != nil {
@@ -202,8 +214,8 @@ func GuardWithFloor(baselinePath string, floor float64) (GuardReport, error) {
 	rep.Summary = fmt.Sprintf("replay allocs/op %d (baseline %d, limit %d), %.0f events/sec (baseline %.0f, floor %.0f)",
 		rep.AllocsPerOp, base.ReplayAllocsPerOp, replayAllocLimit,
 		rep.EventsPerSec, base.EventsPerSec, base.EventsPerSec*floor)
-	if !sameHost {
-		baseHost := "unrecorded"
+	if !same {
+		baseHost := fmt.Sprintf("unfingerprinted, %d CPU, GOMAXPROCS %d", base.NumCPU, base.GoMaxProcs)
 		if base.Host != nil {
 			baseHost = base.Host.String()
 		}

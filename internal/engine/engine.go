@@ -301,7 +301,11 @@ type Engine struct {
 
 // New builds an engine for the trace and policy. The trace is validated
 // and never modified — neither here nor during Run — so callers may
-// share one trace across concurrent engines.
+// share one trace across concurrent engines. The reverse holds too: the
+// engine streams arrival times and IDs from the trace's jobs for the
+// whole run, so they must not be edited (StripIdle, CompressArrivals,
+// Normalize, ...) while the engine, or a Snapshot or fork of it, is
+// live.
 func New(cfg Config, tr *trace.Trace, policy sched.Policy) (*Engine, error) {
 	e := &Engine{}
 	if err := e.Reset(cfg, tr, policy); err != nil {
@@ -320,7 +324,8 @@ func New(cfg Config, tr *trace.Trace, policy sched.Policy) (*Engine, error) {
 // the active slice, the ID-dispatch map, and per-job retry/filler
 // scratch slices, so steady-state reuse allocates only the per-run
 // outputs (Result, outcomes, spans) instead of rebuilding the engine's
-// working set from scratch.
+// working set from scratch. The trace must stay unedited until the run
+// ends, as for New.
 func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 	if err := cfg.Validate(); err != nil {
 		return err

@@ -59,7 +59,10 @@ func (e *Engine) ForkStats() ForkStats { return e.stats }
 // frozen: it rejects Run/RunEvents and the mutation APIs until Reset
 // un-seals it (all outstanding forks must have finished by then; forks
 // read the snapshot's slabs concurrently and lock-free). Snapshots are
-// safe for concurrent ForkInto calls from multiple goroutines.
+// safe for concurrent ForkInto calls from multiple goroutines. Forks
+// share the snapshot's arrival lane, which reads arrival times and IDs
+// from the trace's jobs, so the trace must not be edited while a
+// snapshot or any of its forks is live.
 type Snapshot struct {
 	e *Engine
 }

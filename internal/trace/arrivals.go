@@ -35,8 +35,14 @@ func (a *Arrivals) At(k int) (float64, int) {
 // Arrivals returns the trace's replay order, memoized. On a sorted slab
 // it is a view of the slab; otherwise the order is stable-sorted once.
 // Each call re-checks the memo against the jobs' current arrival times
-// in one O(n) pass, so an in-place edit never replays in a stale order. Requires a validated trace. Safe for
-// concurrent use on a trace that is not being modified.
+// in one O(n) pass, so an in-place edit never replays in a stale order.
+// Requires a validated trace. Safe for concurrent use on a trace that
+// is not being modified.
+//
+// The returned Arrivals reads times and IDs from the jobs at every At,
+// so it is only valid until the next edit of the trace's jobs: a
+// replay, snapshot or fork streaming from it must not outlive such an
+// edit.
 func (tr *Trace) Arrivals() *Arrivals {
 	if a := tr.arrivals.Load(); a != nil && a.matches(tr.Jobs) {
 		return a
