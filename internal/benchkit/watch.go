@@ -38,24 +38,37 @@ type watchMetric struct {
 	// higherBetter: throughput-family metrics degrade downward;
 	// alloc/latency-family metrics degrade upward.
 	higherBetter bool
+	// perHost: an absolute speed (events/sec, ns/op) that only means
+	// something against runs on the same Host. Ratios and allocation
+	// counts are host-independent and compare across the whole log.
+	perHost bool
 }
 
 var watchMetrics = []watchMetric{
-	{"events_per_sec", func(r *HistoryRecord) float64 { return r.EventsPerSec }, true},
-	{"allocs_per_op", func(r *HistoryRecord) float64 { return float64(r.AllocsPerOp) }, false},
-	{"bytes_per_op", func(r *HistoryRecord) float64 { return float64(r.BytesPerOp) }, false},
-	{"sched_events_per_sec", func(r *HistoryRecord) float64 { return r.SchedEventsPerSec }, true},
-	{"sched_allocs_per_op", func(r *HistoryRecord) float64 { return float64(r.SchedAllocsPerOp) }, false},
-	{"fork_ns_per_op", func(r *HistoryRecord) float64 { return r.ForkNsPerOp }, false},
-	{"branch_events_per_sec", func(r *HistoryRecord) float64 { return r.BranchEventsPerSec }, true},
-	{"branch_speedup", func(r *HistoryRecord) float64 { return r.BranchSpeedup }, true},
-	{"attr_events_per_sec", func(r *HistoryRecord) float64 { return r.AttrEventsPerSec }, true},
-	{"flight_events_per_sec", func(r *HistoryRecord) float64 { return r.FlightEventsPerSec }, true},
-	{"trace_load_jobs_per_sec", func(r *HistoryRecord) float64 { return r.TraceLoadJobsPerSec }, true},
-	{"trace_load_speedup", func(r *HistoryRecord) float64 { return r.TraceLoadSpeedup }, true},
-	{"cache_hit_jobs_per_sec", func(r *HistoryRecord) float64 { return r.CacheHitJobsPerSec }, true},
-	{"cache_warm_speedup", func(r *HistoryRecord) float64 { return r.CacheWarmSpeedup }, true},
-	{"cache_cold_overhead_pct", func(r *HistoryRecord) float64 { return r.CacheColdOverheadPct }, false},
+	{"events_per_sec", func(r *HistoryRecord) float64 { return r.EventsPerSec }, true, true},
+	{"allocs_per_op", func(r *HistoryRecord) float64 { return float64(r.AllocsPerOp) }, false, false},
+	{"bytes_per_op", func(r *HistoryRecord) float64 { return float64(r.BytesPerOp) }, false, false},
+	{"sched_events_per_sec", func(r *HistoryRecord) float64 { return r.SchedEventsPerSec }, true, true},
+	{"sched_allocs_per_op", func(r *HistoryRecord) float64 { return float64(r.SchedAllocsPerOp) }, false, false},
+	{"fork_ns_per_op", func(r *HistoryRecord) float64 { return r.ForkNsPerOp }, false, true},
+	{"branch_events_per_sec", func(r *HistoryRecord) float64 { return r.BranchEventsPerSec }, true, true},
+	{"branch_speedup", func(r *HistoryRecord) float64 { return r.BranchSpeedup }, true, false},
+	{"attr_events_per_sec", func(r *HistoryRecord) float64 { return r.AttrEventsPerSec }, true, true},
+	{"flight_events_per_sec", func(r *HistoryRecord) float64 { return r.FlightEventsPerSec }, true, true},
+	{"trace_load_jobs_per_sec", func(r *HistoryRecord) float64 { return r.TraceLoadJobsPerSec }, true, true},
+	{"trace_load_speedup", func(r *HistoryRecord) float64 { return r.TraceLoadSpeedup }, true, false},
+	{"cache_hit_jobs_per_sec", func(r *HistoryRecord) float64 { return r.CacheHitJobsPerSec }, true, true},
+	{"cache_warm_speedup", func(r *HistoryRecord) float64 { return r.CacheWarmSpeedup }, true, false},
+	{"cache_cold_overhead_pct", func(r *HistoryRecord) float64 { return r.CacheColdOverheadPct }, false, false},
+}
+
+// recordHostsEqual reports whether two history records measured on the
+// same machine. Records without a fingerprint match only each other.
+func recordHostsEqual(a, b *Host) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
 }
 
 // Regression is one flagged metric: the newest run's value against the
@@ -122,9 +135,12 @@ func LoadHistory(path string) ([]HistoryRecord, error) {
 // Watch fits a rolling median per metric over the last `window` runs
 // preceding the newest record and flags every metric whose newest value
 // degraded more than `tol` in its bad direction. window <= 0 and
-// tol <= 0 select the defaults. Metrics with fewer than two measured
+// tol <= 0 select the defaults. Absolute speeds fit their median only
+// over prior runs from the newest record's Host; ratios and allocation
+// counts use every prior run. Metrics with fewer than two measured
 // points (or none in the window) are skipped — a brand-new benchmark
-// cannot regress against a history it doesn't have.
+// cannot regress against a history it doesn't have, nor a new host
+// against another machine's speed.
 func Watch(path string, window int, tol float64) (WatchReport, error) {
 	if window <= 0 {
 		window = WatchWindow
@@ -143,7 +159,7 @@ func Watch(path string, window int, tol float64) (WatchReport, error) {
 	}
 
 	latest := &recs[len(recs)-1]
-	checked := 0
+	checked, otherHost := 0, 0
 	for _, m := range watchMetrics {
 		cur := m.get(latest)
 		if cur == 0 {
@@ -152,12 +168,20 @@ func Watch(path string, window int, tol float64) (WatchReport, error) {
 		// Collect the measured points before the newest, most recent
 		// last, then fit the median over the trailing window.
 		var prior []int
+		measured := false
 		for i := 0; i < len(recs)-1; i++ {
-			if m.get(&recs[i]) != 0 {
+			if m.get(&recs[i]) == 0 {
+				continue
+			}
+			measured = true
+			if !m.perHost || recordHostsEqual(recs[i].Host, latest.Host) {
 				prior = append(prior, i)
 			}
 		}
 		if len(prior) == 0 {
+			if measured {
+				otherHost++
+			}
 			continue
 		}
 		win := prior
@@ -210,13 +234,17 @@ func Watch(path string, window int, tol float64) (WatchReport, error) {
 		})
 	}
 
+	skipped := ""
+	if otherHost > 0 {
+		skipped = fmt.Sprintf("; %d absolute metric(s) not compared: no prior run on this host", otherHost)
+	}
 	if len(rep.Regressions) == 0 {
-		rep.Summary = fmt.Sprintf("bench-watch: OK — %d metric(s) within %.0f%% of their rolling median over %d run(s)",
-			checked, tol*100, len(recs))
+		rep.Summary = fmt.Sprintf("bench-watch: OK — %d metric(s) within %.0f%% of their rolling median over %d run(s)%s",
+			checked, tol*100, len(recs), skipped)
 		return rep, nil
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "bench-watch: %d metric(s) degraded >%.0f%% vs rolling median:\n", len(rep.Regressions), tol*100)
+	fmt.Fprintf(&b, "bench-watch: %d metric(s) degraded >%.0f%% vs rolling median%s:\n", len(rep.Regressions), tol*100, skipped)
 	for i := range rep.Regressions {
 		fmt.Fprintf(&b, "  %s\n", rep.Regressions[i].String())
 	}

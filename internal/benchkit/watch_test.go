@@ -221,3 +221,63 @@ func TestMedian(t *testing.T) {
 		t.Fatalf("empty median = %v", got)
 	}
 }
+
+func TestWatchAbsoluteMetricsStayOnHost(t *testing.T) {
+	fast := &Host{CPUModel: "fast", NumCPU: 1, GoMaxProcs: 1, GoVersion: "go1.24.0"}
+	slow := &Host{CPUModel: "slow", NumCPU: 2, GoMaxProcs: 2, GoVersion: "go1.24.0"}
+	// Six runs on a fast host, then three on a slow one at half the
+	// speed: cross-host, the newest run's events/sec and fork time look
+	// 50% and 100% worse; against its own host they are steady. Its
+	// allocations and branch speedup, host-independent, still compare
+	// against every prior run, and its alloc rise must flag.
+	recs := steady(9)
+	for i := range recs {
+		recs[i].Host = fast
+		recs[i].ForkNsPerOp = 2000
+		recs[i].BranchSpeedup = 5
+		if i >= 6 {
+			recs[i].Host = slow
+			recs[i].EventsPerSec = 500_000
+			recs[i].ForkNsPerOp = 4000
+		}
+	}
+	recs[8].AllocsPerOp = 1224
+	path := writeHistory(t, recs)
+	rep, err := Watch(path, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Regressions) != 1 || rep.Regressions[0].Metric != "allocs_per_op" || rep.Regressions[0].Window != 5 {
+		t.Fatalf("regressions = %+v, want only allocs_per_op over a 5-run cross-host window", rep.Regressions)
+	}
+
+	// A slowdown on the slow host itself still flags, with its range
+	// named from that host's runs only.
+	recs[8].AllocsPerOp = 816
+	recs[8].EventsPerSec = 300_000
+	rep, err = Watch(writeHistory(t, recs), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Regressions) != 1 {
+		t.Fatalf("regressions = %+v, want only events_per_sec", rep.Regressions)
+	}
+	if r := rep.Regressions[0]; r.Metric != "events_per_sec" || r.Median != 500_000 || r.Window != 2 || r.LastGood != "v7" {
+		t.Fatalf("regression = %+v, want a 2-run slow-host median of 500000 from v7", r)
+	}
+
+	// The first run on a new host has no same-host history: its absolute
+	// speeds are skipped and the summary says so.
+	recs = append(recs[:6], recs[6])
+	recs[6].EventsPerSec = 100_000
+	rep, err = Watch(writeHistory(t, recs), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Regressions) != 0 {
+		t.Fatalf("first run on a new host flagged: %+v", rep.Regressions)
+	}
+	if !strings.Contains(rep.Summary, "2 absolute metric(s) not compared") {
+		t.Fatalf("summary = %q", rep.Summary)
+	}
+}

@@ -69,6 +69,11 @@ func (e *Event) HeapPos() int {
 	return e.index
 }
 
+// Seq returns the event's insertion sequence number, the tie-breaker of
+// the (Time, seq) pop order: of two events pushed onto one queue, the
+// later push has the larger Seq. CloneInto preserves it.
+func (e *Event) Seq() uint64 { return e.seq }
+
 // String renders the event for logs and test failures.
 func (e *Event) String() string {
 	return fmt.Sprintf("event{t=%.3f type=%d job=%d}", e.Time, e.Type, e.JobID)

@@ -44,7 +44,7 @@ import (
 // tweak, a float reassociation — even ones that feel like pure bug
 // fixes; the golden-key test in rcache pins the consequence so the
 // bump is a conscious, reviewable decision.
-const SemanticsVersion = 1
+const SemanticsVersion = 2
 
 // Config parameterizes a replay run.
 type Config struct {
@@ -848,15 +848,18 @@ func (e *Engine) preemptFor(sj *simJob) {
 	}
 }
 
-// preemptVictim kills the victim's most recently scheduled running map
-// (the one with the most remaining work under FIFO duration replay),
-// returning its task index to the victim's retry queue. Reports whether
-// a task was actually killed.
+// preemptVictim kills the victim's running map that ends last (the one
+// with the most remaining work under FIFO duration replay), returning
+// its task index to the victim's retry queue. Of maps ending at the same
+// instant it kills the most recently scheduled, the later-pushed event:
+// runningMaps is a Go map, so the choice must not depend on its
+// iteration order. Reports whether a task was actually killed.
 func (e *Engine) preemptVictim(victim *simJob) bool {
 	killTask := -1
 	var killEv *des.Event
 	for task, ev := range victim.runningMaps {
-		if killEv == nil || ev.Time > killEv.Time {
+		if killEv == nil || ev.Time > killEv.Time ||
+			(ev.Time == killEv.Time && ev.Seq() > killEv.Seq()) {
 			killTask, killEv = task, ev
 		}
 	}
@@ -1084,21 +1087,28 @@ func Run(cfg Config, tr *trace.Trace, policy sched.Policy) (*Result, error) {
 	return e.Run()
 }
 
+// idle holds the idle engines of every Pool. One process-wide list
+// lets a fan-out reuse the engines an earlier fan-out returned (each
+// CapacitySweep call builds its own cell runner, and so its own Pool),
+// instead of building multi-megabyte job slabs afresh per call.
+var idle sync.Pool
+
 // Pool caches engines for reuse across runs. A grid workload (capacity
 // sweep, replay batch, deadline sweep) that replays hundreds of cells
 // holds roughly one engine per worker goroutine instead of building —
 // and garbage-collecting — one engine per cell: the queue slab, free
 // list, jobs slab, and scratch slices all carry over through Reset.
 //
-// The zero value is ready to use, and a Pool is safe for concurrent
-// use (it wraps sync.Pool, so idle engines are dropped under GC
-// pressure and the steady-state population tracks GOMAXPROCS).
-// Determinism is unaffected: a reset engine is observationally
-// identical to a fresh one, so pooled results stay byte-identical to
-// unpooled runs.
+// Every Pool draws from and returns to one process-wide idle list, so
+// an engine Put into one Pool may be handed out by a Get on another;
+// a Pool itself carries only its OnGet hook, which keeps reuse
+// telemetry per fan-out. The zero value is ready to use, and a Pool is
+// safe for concurrent use (the idle list is a sync.Pool, so idle
+// engines are dropped under GC pressure and the steady-state
+// population tracks GOMAXPROCS). Determinism is unaffected: a reset
+// engine is observationally identical to a fresh one, so pooled
+// results stay byte-identical to unpooled runs.
 type Pool struct {
-	p sync.Pool
-
 	// OnGet, when set, observes every Get with whether a warmed engine
 	// was reused (true) or a fresh one built (false) — the telemetry
 	// hook behind the engine-reuse hit rate. Set it before the first
@@ -1108,9 +1118,9 @@ type Pool struct {
 }
 
 // Get returns an engine armed for (cfg, tr, policy): a reused engine
-// when one is idle in the pool, a newly built one otherwise.
+// when one is idle, a newly built one otherwise.
 func (p *Pool) Get(cfg Config, tr *trace.Trace, policy sched.Policy) (*Engine, error) {
-	if v := p.p.Get(); v != nil {
+	if v := idle.Get(); v != nil {
 		if p.OnGet != nil {
 			p.OnGet(true)
 		}
@@ -1130,7 +1140,7 @@ func (p *Pool) Get(cfg Config, tr *trace.Trace, policy sched.Policy) (*Engine, e
 // afterwards; the next Get may hand it to another goroutine.
 func (p *Pool) Put(e *Engine) {
 	if e != nil {
-		p.p.Put(e)
+		idle.Put(e)
 	}
 }
 

@@ -371,7 +371,7 @@ func (e *Engine) Fork(opts ForkOptions) (*Engine, error) {
 // warmed engine, ForkInto it. Put it back after the branch's Run as
 // usual. Safe for concurrent use like the rest of Pool.
 func (p *Pool) Fork(s *Snapshot, opts ForkOptions) (*Engine, error) {
-	if v := p.p.Get(); v != nil {
+	if v := idle.Get(); v != nil {
 		if p.OnGet != nil {
 			p.OnGet(true)
 		}

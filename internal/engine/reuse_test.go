@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"simmr/internal/obs"
 	"simmr/internal/sched"
 	"simmr/internal/synth"
 	"simmr/internal/trace"
@@ -178,9 +179,10 @@ func TestPoolRunIdentical(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentDeterminism hammers one pool from many goroutines
-// over a shared trace; under -race this checks both the data-race
-// freedom of pooled reuse and result determinism.
+// TestPoolConcurrentDeterminism hammers two pools, which share one idle
+// list, from many goroutines over a shared trace; under -race this
+// checks both the data-race freedom of pooled reuse and result
+// determinism.
 func TestPoolConcurrentDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	tr, err := synth.ProductionTrace(15, rng)
@@ -191,7 +193,7 @@ func TestPoolConcurrentDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pool Pool
+	var pools [2]Pool
 	const goroutines = 8
 	const runsEach = 5
 	results := make([][]*Result, goroutines)
@@ -202,7 +204,7 @@ func TestPoolConcurrentDeterminism(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < runsEach; r++ {
-				res, err := pool.Run(DefaultConfig(), tr, sched.FIFO{})
+				res, err := pools[g%2].Run(DefaultConfig(), tr, sched.FIFO{})
 				if err != nil {
 					errs[g] = err
 					return
@@ -239,4 +241,54 @@ func TestPoolRejectsInvalidThenRecovers(t *testing.T) {
 	if err != nil || res == nil {
 		t.Fatalf("pool did not recover from rejected arming: %v", err)
 	}
+}
+
+// TestPoolsShareIdleEngines: every Pool draws from one idle list, so an
+// engine Put into one Pool is reused by a Get on another, keeps each
+// Pool's OnGet, and replays byte-identically to a fresh engine.
+func TestPoolsShareIdleEngines(t *testing.T) {
+	scs := reuseScenarios(t)
+	warm, next := scs[0], scs[1]
+	want, wantSink := replayRecorded(t, next.cfg, next.tr, next.policy)
+	var aGets, bGets []bool
+	a := Pool{OnGet: func(reused bool) { aGets = append(aGets, reused) }}
+	b := Pool{OnGet: func(reused bool) { bGets = append(bGets, reused) }}
+	// sync.Pool may drop a Put (under -race it drops one in four)
+	// or lose it to a collection, so retry until one handoff lands.
+	for try := 0; try < 100; try++ {
+		e, err := a.Get(warm.cfg, warm.tr, warm.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		a.Put(e)
+		sink := &obs.RecordSink{}
+		cfg := next.cfg
+		cfg.Sink = sink
+		got, err := b.Get(cfg, next.tr, next.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused := got == e
+		res, err := got.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Put(got)
+		if !reflect.DeepEqual(res, want) || digestStream(sink.Events) != digestStream(wantSink.Events) {
+			t.Fatalf("try %d (reused %v): replay diverged from a fresh engine", try, reused)
+		}
+		if reused {
+			if !bGets[len(bGets)-1] {
+				t.Fatal("b's OnGet reported a fresh build for a reused engine")
+			}
+			if len(aGets) != try+1 {
+				t.Fatalf("a's OnGet saw %d gets, want %d: b's Get leaked into a's hook", len(aGets), try+1)
+			}
+			return
+		}
+	}
+	t.Fatal("no engine Put into one Pool was reused by a Get on another in 100 tries")
 }

@@ -117,8 +117,8 @@ func (nopSink) RunEnd(obs.Counters) {}
 // you pulled — bump engine.SemanticsVersion for behavior changes,
 // keyVersion for encoding/material changes — then update the golden.
 func TestGoldenKey(t *testing.T) {
-	if v := engine.SemanticsVersion; v != 1 {
-		t.Logf("engine.SemanticsVersion = %d; goldens below were minted at version 1", v)
+	if v := engine.SemanticsVersion; v != 2 {
+		t.Logf("engine.SemanticsVersion = %d; goldens below were minted at version 2", v)
 	}
 	base := engine.DefaultConfig()
 	preempt := base
@@ -132,9 +132,9 @@ func TestGoldenKey(t *testing.T) {
 		want   Key
 	}{
 		{"fifo-base", 0xfeedbeefcafe0001, base, sched.FIFO{},
-			Key{Hi: 0x63ee9b9186cae4f3, Lo: 0x92886beb41a2c896}},
+			Key{Hi: 0xe6ac2cf6dfca6084, Lo: 0x0a5a96d2a6b11e51}},
 		{"maxedf-preempt-spans", 0xfeedbeefcafe0002, preempt, sched.MaxEDF{},
-			Key{Hi: 0xeae2703f1cb73bbe, Lo: 0xec968886c11e4193}},
+			Key{Hi: 0x93ec2be98cadbd25, Lo: 0x95650b7341d7d100}},
 	}
 	for _, g := range golden {
 		k, ok := KeyFor(g.digest, g.cfg, g.p)

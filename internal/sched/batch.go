@@ -94,40 +94,129 @@ func Indexed(p Policy) Policy {
 // queueMirror tracks each indexed job's position in the engine's active
 // queue, mirroring the engine's append-on-arrival / ordered-removal
 // discipline so Assign* can return queue indices without scanning.
+//
+// Every admit takes the next admission ordinal; a job's queue index is
+// the number of live jobs with a smaller ordinal, which a Fenwick tree
+// (binary indexed tree) over the ordinals answers in O(log n). A
+// departure is then one map delete and one Fenwick update, not a rewrite
+// of every later job's position. Departed ordinals stay as nil holes
+// until the dead entries outnumber the live ones; compact then renumbers
+// the live jobs in order, so memory stays O(peak live jobs) and the
+// renumbering is amortized O(1) per departure. head and the trimmed tail
+// keep ords[head] and ords[len(ords)-1] live, the two ends synced checks.
 type queueMirror struct {
-	order   []*JobInfo
-	pos     map[int]int
+	ords    []*JobInfo  // admission ordinal -> job; nil once departed
+	ordOf   map[int]int // live job ID -> admission ordinal
+	fen     []int32     // Fenwick tree over ords, 1-based; len-1 is its capacity
+	head    int         // first live ordinal (len(ords) when empty)
+	live    int
 	scratch []int
 }
 
+// minMirrorCap is the smallest Fenwick capacity; compaction only runs
+// on slices at least this long.
+const minMirrorCap = 64
+
+// admit appends j to the mirrored queue. j must not already be live.
 func (m *queueMirror) admit(j *JobInfo) {
-	if m.pos == nil {
-		m.pos = make(map[int]int)
+	if m.ordOf == nil {
+		m.ordOf = make(map[int]int)
 	}
-	m.pos[j.ID] = len(m.order)
-	m.order = append(m.order, j)
+	ord := len(m.ords)
+	m.ords = append(m.ords, j)
+	if ord+1 < len(m.fen) {
+		m.add(ord, 1)
+	} else {
+		m.rebuild(max(minMirrorCap, 2*(len(m.fen)-1)))
+	}
+	m.ordOf[j.ID] = ord
+	m.live++
 }
 
+// depart removes j, keeping every other job's relative order; unknown
+// jobs are a no-op.
 func (m *queueMirror) depart(j *JobInfo) {
-	p, ok := m.pos[j.ID]
+	ord, ok := m.ordOf[j.ID]
 	if !ok {
 		return
 	}
-	delete(m.pos, j.ID)
-	copy(m.order[p:], m.order[p+1:])
-	m.order[len(m.order)-1] = nil
-	m.order = m.order[:len(m.order)-1]
-	for i := p; i < len(m.order); i++ {
-		m.pos[m.order[i].ID] = i
+	delete(m.ordOf, j.ID)
+	m.ords[ord] = nil
+	m.add(ord, -1)
+	m.live--
+	for m.head < len(m.ords) && m.ords[m.head] == nil {
+		m.head++
+	}
+	for n := len(m.ords); n > m.head && m.ords[n-1] == nil; n-- {
+		m.ords = m.ords[:n-1]
+	}
+	if m.live == 0 {
+		m.ords, m.head = m.ords[:0], 0
+	} else if n := len(m.ords); n >= minMirrorCap && n-m.live > m.live {
+		m.compact()
 	}
 }
 
-func (m *queueMirror) reset() {
-	for i := range m.order {
-		m.order[i] = nil
+// compact renumbers the live jobs 0..live-1 in queue order and rebuilds
+// the Fenwick tree at a capacity fitted to them.
+func (m *queueMirror) compact() {
+	k := 0
+	for _, j := range m.ords[m.head:] {
+		if j != nil {
+			m.ords[k] = j
+			m.ordOf[j.ID] = k
+			k++
+		}
 	}
-	m.order = m.order[:0]
-	clear(m.pos)
+	clear(m.ords[k:])
+	m.ords, m.head = m.ords[:k], 0
+	m.rebuild(max(minMirrorCap, 2*k))
+}
+
+// rebuild sizes the Fenwick tree for ordinals 0..capacity-1 and fills it
+// from ords in O(capacity), reusing its backing array when it fits.
+func (m *queueMirror) rebuild(capacity int) {
+	if cap(m.fen) > capacity {
+		m.fen = m.fen[:capacity+1]
+		clear(m.fen)
+	} else {
+		m.fen = make([]int32, capacity+1)
+	}
+	for i, j := range m.ords {
+		if j != nil {
+			m.fen[i+1]++
+		}
+	}
+	for i := 1; i <= capacity; i++ {
+		if p := i + i&-i; p <= capacity {
+			m.fen[p] += m.fen[i]
+		}
+	}
+}
+
+// add adds d to ordinal ord's live count.
+func (m *queueMirror) add(ord int, d int32) {
+	for i := ord + 1; i < len(m.fen); i += i & -i {
+		m.fen[i] += d
+	}
+}
+
+// index returns j's position in the mirrored queue: the number of live
+// jobs admitted before it. j must be live.
+func (m *queueMirror) index(j *JobInfo) int {
+	n := int32(0)
+	for i := m.ordOf[j.ID]; i > 0; i -= i & -i {
+		n += m.fen[i]
+	}
+	return int(n)
+}
+
+func (m *queueMirror) reset() {
+	clear(m.ords)
+	m.ords = m.ords[:0]
+	clear(m.ordOf)
+	clear(m.fen)
+	m.head, m.live = 0, 0
 	m.scratch = m.scratch[:0]
 }
 
@@ -137,12 +226,12 @@ func (m *queueMirror) reset() {
 // cluster emulator's masked queues, hand-built test queues) fail this
 // check and get the reference scan instead.
 func (m *queueMirror) synced(q []*JobInfo) bool {
-	if len(m.order) != len(q) {
+	if m.live != len(q) {
 		return false
 	}
 	// Cheap spot checks instead of a full compare: the engine appends on
 	// arrival and removes in order, so ends matching implies the rest.
-	if n := len(q); n > 0 && (q[0] != m.order[0] || q[n-1] != m.order[n-1]) {
+	if n := len(q); n > 0 && (q[0] != m.ords[m.head] || q[n-1] != m.ords[len(m.ords)-1]) {
 		return false
 	}
 	return true
@@ -193,7 +282,7 @@ func (ix *indexedPair) chooseMap(q []*JobInfo, fallback Policy) int {
 	if j == nil {
 		return -1
 	}
-	return ix.pos[j.ID]
+	return ix.index(j)
 }
 
 func (ix *indexedPair) chooseReduce(q []*JobInfo, fallback Policy) int {
@@ -204,7 +293,7 @@ func (ix *indexedPair) chooseReduce(q []*JobInfo, fallback Policy) int {
 	if j == nil {
 		return -1
 	}
-	return ix.pos[j.ID]
+	return ix.index(j)
 }
 
 func (ix *indexedPair) assignMaps(q []*JobInfo, n int, fallback Policy) []int {
@@ -227,7 +316,7 @@ func (ix *indexedPair) assignMaps(q []*JobInfo, n int, fallback Policy) []int {
 		}
 		j.ScheduledMaps++
 		ix.mapT.Fix(j) // a map grant never changes reduce eligibility or keys
-		ix.scratch = append(ix.scratch, ix.pos[j.ID])
+		ix.scratch = append(ix.scratch, ix.index(j))
 	}
 	return ix.scratch
 }
@@ -252,7 +341,7 @@ func (ix *indexedPair) assignReduces(q []*JobInfo, n int, fallback Policy) []int
 		}
 		j.ScheduledReduces++
 		ix.redT.Fix(j)
-		ix.scratch = append(ix.scratch, ix.pos[j.ID])
+		ix.scratch = append(ix.scratch, ix.index(j))
 	}
 	return ix.scratch
 }
@@ -538,7 +627,7 @@ func (p *IndexedCapacity) ChooseNextMapTask(q []*JobInfo) int {
 		return p.cfg.ChooseNextMapTask(q)
 	}
 	if _, j := p.bestQueue(p.mapTs, p.mapLoad); j != nil {
-		return p.pos[j.ID]
+		return p.index(j)
 	}
 	return -1
 }
@@ -549,7 +638,7 @@ func (p *IndexedCapacity) ChooseNextReduceTask(q []*JobInfo) int {
 		return p.cfg.ChooseNextReduceTask(q)
 	}
 	if _, j := p.bestQueue(p.redTs, p.redLoad); j != nil {
-		return p.pos[j.ID]
+		return p.index(j)
 	}
 	return -1
 }
@@ -638,7 +727,7 @@ func (p *IndexedCapacity) AssignMapSlots(q []*JobInfo, n int) []int {
 		p.mapLoad[qi]++ // one more running map in the winning queue
 		p.lastRunM[j.ID]++
 		p.mapTs[qi].Fix(j)
-		p.scratch = append(p.scratch, p.pos[j.ID])
+		p.scratch = append(p.scratch, p.index(j))
 	}
 	return p.scratch
 }
@@ -666,7 +755,7 @@ func (p *IndexedCapacity) AssignReduceSlots(q []*JobInfo, n int) []int {
 		p.redLoad[qi]++
 		p.lastRunR[j.ID]++
 		p.redTs[qi].Fix(j)
-		p.scratch = append(p.scratch, p.pos[j.ID])
+		p.scratch = append(p.scratch, p.index(j))
 	}
 	return p.scratch
 }

@@ -15,7 +15,8 @@ package sched
 // tournament keeps both updates O(log n) and the winner O(1): each leaf
 // is one job plus an eligibility bit, each internal node caches the
 // better of its children's winners (ineligible leaves lose to anything),
-// and a key or eligibility change only recomputes the leaf's root path.
+// and a key or eligibility change only recomputes the leaf's root path,
+// stopping early at the first node whose winner did not change.
 // Fair's fully dynamic key (running-task count) fits the same mold
 // because every counter change already flows through a Fix call.
 
@@ -155,7 +156,11 @@ func (t *Tournament) refresh(slot int32) {
 	t.sift(slot)
 }
 
-// sift rebuilds the winner path from a leaf to the root.
+// sift rebuilds the winner path from a leaf toward the root. It stops
+// at the first node whose merged winner is the one already stored there
+// and is not the refreshed slot: that node's winner and its key are
+// unchanged, so every ancestor's merge is unchanged too. When the slot
+// itself wins, its key may have moved (Fair), so the walk continues.
 func (t *Tournament) sift(slot int32) {
 	v := int(slot) + t.size
 	if t.elig[slot>>6]&(1<<(slot&63)) != 0 {
@@ -164,7 +169,11 @@ func (t *Tournament) sift(slot int32) {
 		t.win[v] = -1
 	}
 	for v >>= 1; v >= 1; v >>= 1 {
-		t.win[v] = t.merge(t.win[2*v], t.win[2*v+1])
+		w := t.merge(t.win[2*v], t.win[2*v+1])
+		if w == t.win[v] && w != slot {
+			return
+		}
+		t.win[v] = w
 	}
 }
 
